@@ -17,10 +17,8 @@
  * the work happens on pool workers).
  *
  * The engine-captured *Parallel benchmarks A/B the native Binning
- * engines (src/pb/engine_config.h): PR 1's flat scalar loop vs the
- * software C-Buffer engines (write-combining, WC + SIMD batch binning,
- * two-level hierarchical) plus the cache-topology auto-tuned choice.
- * Every PB benchmark exports per-phase wall-clock counters (init_s /
+ * engines (src/pb/engine_config.h): the flat scalar loop vs the
+ * write-combining software C-Buffer engine. Every PB benchmark exports per-phase wall-clock counters (init_s /
  * binning_s / accumulate_s, averaged per iteration) so the recorded
  * JSON carries the paper's Table-I-style phase breakdown — the engines
  * specifically target Binning-phase time. Because single numbers hid
@@ -58,7 +56,6 @@
 #include "src/kernels/spmv.h"
 #include "src/obs/hw_counters.h"
 #include "src/pb/auto_tune.h"
-#include "src/pb/simd_binning.h"
 #include "src/sim/phase_recorder.h"
 #include "src/sparse/coo.h"
 #include "src/sparse/reference.h"
@@ -408,35 +405,7 @@ BM_DegreeCountPbParallel(benchmark::State &state,
     }
     ps.report(state);
     hw.report(state);
-    state.SetLabel(std::string(to_string(engine.kind)) + "/batch=" +
-                   activeBinBatchName());
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(in.edges.size()));
-}
-
-/** The auto-tuner's pick for this host (engine kind + bin counts). */
-void
-BM_DegreeCountPbParallelAuto(benchmark::State &state)
-{
-    NativeInput &in = input(state.range(0));
-    DegreeCountKernel k(in.nodes, &in.edges);
-    HwPerf hw;
-    ThreadPool pool(static_cast<size_t>(state.range(1)));
-    const PbEnginePlan ep = autoTunePbEngine(in.nodes);
-    PhaseSeconds ps;
-    for (auto _ : state) {
-        PhaseRecorder rec;
-        hw.beginIter(rec);
-        k.runPbParallel(pool, rec, ep.plan.numBins, ep.engine);
-        hw.endIter(rec);
-        benchmark::DoNotOptimize(k.degrees().data());
-        ps.add(rec);
-    }
-    ps.report(state);
-    hw.report(state);
-    state.counters["bins"] = ep.plan.numBins;
-    state.SetLabel(std::string("auto:") + to_string(ep.engine.kind) +
-                   (ep.budget.fromHost ? "/sysfs" : "/fallback"));
+    state.SetLabel(to_string(engine.kind));
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(in.edges.size()));
 }
@@ -729,18 +698,13 @@ BM_NeighborPopulatePbParallel(benchmark::State &state,
     }
     ps.report(state);
     hw.report(state);
-    state.SetLabel(std::string(to_string(engine.kind)) + "/batch=" +
-                   activeBinBatchName());
+    state.SetLabel(to_string(engine.kind));
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(in.edges.size()));
 }
 
-constexpr PbEngineConfig kScalarEng{PbEngineKind::kScalar, 0, 1, false};
-constexpr PbEngineConfig kWcEng{PbEngineKind::kWriteCombine, 0, 1, false};
-constexpr PbEngineConfig kWcSimdEng{PbEngineKind::kWriteCombineSimd, 0, 1,
-                                    false};
-constexpr PbEngineConfig kHierEng{PbEngineKind::kHierarchical, 0, 1,
-                                  false};
+constexpr PbEngineConfig kScalarEng{PbEngineKind::kScalar};
+constexpr PbEngineConfig kWcEng{PbEngineKind::kWriteCombine};
 
 BENCHMARK(BM_DegreeCountBaseline)->Arg(1 << 18)->Arg(1 << 21);
 // The 1<<14 point is the bench-smoke ctest configuration: small enough
@@ -754,9 +718,8 @@ BENCHMARK(BM_DegreeCountPb)
 // Engine A/B at {nodes, max_bins, pool threads}. Real time, since the
 // benchmark thread mostly waits on the pool. The 4096-bin points are
 // where the flat C-Buffer set outgrows the upper caches (4096 * 68B >
-// L2): WC+SIMD attacks the miss cost, the hierarchical engine removes
-// it. The scalar 512-bin thread sweep is PR 1's configuration, kept
-// for cross-PR comparability.
+// L2). The scalar 512-bin thread sweep is the original configuration,
+// kept for comparability with earlier recorded runs.
 BENCHMARK_CAPTURE(BM_DegreeCountPbParallel, scalar, kScalarEng)
     ->Args({1 << 21, 512, 1})
     ->Args({1 << 21, 512, 2})
@@ -768,18 +731,7 @@ BENCHMARK_CAPTURE(BM_DegreeCountPbParallel, scalar, kScalarEng)
 BENCHMARK_CAPTURE(BM_DegreeCountPbParallel, wc, kWcEng)
     ->Args({1 << 14, 64, 2})
     ->Args({1 << 21, 4096, 1})
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_DegreeCountPbParallel, wc_simd, kWcSimdEng)
-    ->Args({1 << 21, 4096, 1})
     ->Args({1 << 22, 16384, 1})
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_DegreeCountPbParallel, hier, kHierEng)
-    ->Args({1 << 21, 4096, 1})
-    ->Args({1 << 22, 16384, 1})
-    ->UseRealTime();
-BENCHMARK(BM_DegreeCountPbParallelAuto)
-    ->Args({1 << 21, 1})
-    ->Args({1 << 22, 1})
     ->UseRealTime();
 
 // Skew sweep at the 2^21-update anchor (2^19 nodes, 4x updates, 4096
@@ -878,12 +830,6 @@ BENCHMARK_CAPTURE(BM_NeighborPopulatePbParallel, scalar, kScalarEng)
     ->Args({1 << 21, 4096, 1})
     ->UseRealTime();
 BENCHMARK_CAPTURE(BM_NeighborPopulatePbParallel, wc, kWcEng)
-    ->Args({1 << 21, 4096, 1})
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_NeighborPopulatePbParallel, wc_simd, kWcSimdEng)
-    ->Args({1 << 21, 4096, 1})
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_NeighborPopulatePbParallel, hier, kHierEng)
     ->Args({1 << 21, 4096, 1})
     ->UseRealTime();
 

@@ -42,9 +42,9 @@
  *   --deadline-ms D    watchdog deadline per attempt; a stalled run is
  *                      cancelled and surfaces as deadline-exceeded
  *   --retries R        retry a failed attempt up to R times, degrading
- *                      the engine ladder (hier -> two_pass -> wc ->
- *                      scalar -> serial reference; wc-simd -> wc) and
- *                      re-certifying against the oracle each time
+ *                      the engine ladder (wc -> scalar -> serial
+ *                      reference) and re-certifying against the
+ *                      oracle each time
  *   --mem-budget-mb M  cap PB working memory; an over-budget plan fails
  *                      as resource-exhausted and retries shrunk
  * Any of the three enables the RunSupervisor on that path.
@@ -136,7 +136,7 @@ usage(const char *argv0)
            "       [--input kron|urnd|road | --graph-file path]\n"
            "       [--technique baseline|pb|ideal|cobra|comm|phi|ccache]\n"
            "       [--nodes N] [--edges M] [--bins B|--auto-bins]\n"
-           "       [--native] [--engine scalar|wc|wc-simd|hier|two_pass]\n"
+           "       [--native] [--engine scalar|wc]\n"
            "       [--direction push|pull|auto]\n"
            "       [--threads T] [--stats] [--json]\n"
            "       [--skew-adaptive] [--skew-topk K] [--hot-factor F]\n"
@@ -301,7 +301,7 @@ runCli(int argc, char **argv)
         engine_kind = engineKindFromName(o.engine);
         if (!engine_kind) {
             std::cerr << "error: unknown --engine '" << o.engine
-                      << "' (scalar|wc|wc-simd|hier|two_pass)\n";
+                      << "' (scalar|wc)\n";
             return 2;
         }
         if (!o.native || o.technique != "pb") {

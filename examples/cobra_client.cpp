@@ -72,7 +72,7 @@ usage(const char *argv0)
            "       [--requests R] [--threads C] [--updates N] "
            "[--indices I]\n"
            "       [--dist uniform|zipf:ALPHA|rmat] [--bins B]\n"
-           "       [--engine scalar|wc|wc-simd|hier|two_pass]\n"
+           "       [--engine scalar|wc]\n"
            "       [--wc-lines L] [--skew-adaptive]\n"
            "       [--deadline-ms D] [--inject SITE[:N[:SEED]]]\n"
            "       [--timeout-ms T] [--retries R] [--backoff-ms B]\n"

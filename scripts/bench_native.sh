@@ -18,10 +18,7 @@
 # got slower".
 #
 # An optional build-dir argument selects which build to measure
-# (default: build/). Pass a -DCOBRA_NATIVE_ARCH=ON tree (e.g.
-# build-arch/, as scripts/tier1.sh lays out) to A/B the AVX2
-# batch-binning path; the stock build measures the portable scalar
-# batch.
+# (default: build/).
 #
 # --repeats N repeats every benchmark N times (google-benchmark
 # repetitions) so the JSON additionally carries mean/median/stddev

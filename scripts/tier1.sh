@@ -23,7 +23,7 @@
 #                                              # ThreadSanitizer
 #
 # Label taxonomy lives in tests/CMakeLists.txt; `skew` marks the
-# skew-adaptive scheduling / StealQueue / two-pass native suites, which
+# skew-adaptive scheduling / StealQueue / native-engine suites, which
 # are the ones worth re-running under --tsan after touching the
 # Accumulate scheduler, `server` marks the batch-server suites
 # (concurrent supervised runs on a shared pool), worth the same
@@ -45,12 +45,6 @@
 # out-of-process durability gate is scripts/soak.sh --crash.
 # All ride in every plain and sanitizer pass too — the labels are a
 # focus knob, not an opt-in.
-#
-# After the requested suite passes, hosts with AVX2 also build and run
-# the suite with -DCOBRA_NATIVE_ARCH=ON (build-arch/), so the SIMD
-# binning path gets the same test coverage as the portable build. The
-# portable build always runs first: the scalar batch path must pass on
-# its own, not just as the fallback inside an AVX2 build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -81,18 +75,6 @@ while [[ $# -gt 0 ]]; do
     esac
 done
 
-run_suite() {
-    local dir=$1
-    shift
-    cmake -B "$dir" -S . "$@"
-    cmake --build "$dir" -j "$(nproc)"
-    (cd "$dir" && ctest --output-on-failure -j "$(nproc)" "${CTEST_ARGS[@]}")
-}
-
-run_suite "$BUILD_DIR" "${CMAKE_ARGS[@]}"
-
-if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
-    run_suite "${BUILD_DIR}-arch" "${CMAKE_ARGS[@]}" -DCOBRA_NATIVE_ARCH=ON
-else
-    echo "tier1: host lacks AVX2; skipping COBRA_NATIVE_ARCH pass"
-fi
+cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
+cmake --build "$BUILD_DIR" -j "$(nproc)"
+(cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)" "${CTEST_ARGS[@]}")

@@ -18,18 +18,22 @@ addFloats(float &dst, const float &src)
     dst += src;
 }
 
-/** contrib[u] = scores[u] / outDegree(u), uniform initial scores. */
-std::vector<float>
-initialContrib(const CsrGraph &out)
+/**
+ * contrib[u] = scores[u] / outDegree(u), uniform initial scores. Fills
+ * @p c in place: the simulated hierarchy renames host pages but keeps
+ * their offsets, so a fresh buffer per run could land at a different
+ * offset and change what a repeated simulation measures.
+ */
+void
+fillInitialContrib(const CsrGraph &out, std::vector<float> &c)
 {
     const NodeId n = out.numNodes();
-    std::vector<float> c(n);
+    c.resize(n);
     const float init = 1.0f / static_cast<float>(n);
     for (NodeId u = 0; u < n; ++u) {
         EdgeOffset d = out.degree(u);
         c[u] = d ? init / static_cast<float>(d) : 0.0f;
     }
-    return c;
 }
 
 } // namespace
@@ -43,7 +47,8 @@ PagerankKernel::PagerankKernel(const CsrGraph *out, const CsrGraph *in)
     next.assign(n, 0.0f);
 
     // Double-precision reference for verification.
-    std::vector<float> c = initialContrib(*out);
+    std::vector<float> c;
+    fillInitialContrib(*out, c);
     refNext.assign(n, 0.0);
     const double base = (1.0 - kDamping) / n;
     for (NodeId v = 0; v < n; ++v) {
@@ -93,8 +98,7 @@ void
 PagerankKernel::computeContrib(ExecCtx &ctx)
 {
     // Streaming pass: scores/degree per vertex.
-    std::vector<float> c = initialContrib(*outG);
-    contrib = std::move(c);
+    fillInitialContrib(*outG, contrib);
     for (NodeId u = 0; u < outG->numNodes(); ++u) {
         ctx.instr(2);
         ctx.load(&outG->offsetsArray()[u], 8);

@@ -61,8 +61,8 @@ autoTunePlan(uint64_t num_indices,
 }
 
 /**
- * Cache capacities the *native* engines should tune against: the host's
- * real topology when sysfs exposes it, the benchmark-context
+ * Cache capacities native runs should size against: the host's real
+ * topology when sysfs exposes it, the benchmark-context
  * HierarchyConfig otherwise (containers and stripped sysfs roots fall
  * back to the same machine model the simulator uses, so tuning is
  * deterministic either way).
@@ -85,109 +85,6 @@ hostCacheBudget(const HierarchyConfig &fallback = HierarchyConfig{})
                        fallback.llc.sizeBytes, false};
 }
 
-/** A fully tuned native Binning configuration. */
-struct PbEnginePlan
-{
-    BinningPlan plan;
-    PbEngineConfig engine;
-    CacheBudget budget; ///< capacities the choice was made against
-};
-
-/**
- * Pick engine kind, WC depth, level count, and per-level bin counts for
- * a native run over @p num_indices — the software analogue of COBRA's
- * per-cache-level provisioning (reserved ways sized per level, paper
- * Section V-B):
- *
- *  - Desired *final* bin count comes from the Accumulate side: the bin
- *    range should cover at most ~half the L1d of indexed data (4B per
- *    element assumed — payload-independent, like the paper's sweeps),
- *    clamped below by the flat heuristic's floor of 16. Callers that
- *    already swept (or a CLI --bins override) pass @p requested_bins.
- *  - If one flat level of C-Buffers at that bin count fits in half the
- *    L2, use the flat WC engine (+ SIMD batch binning) and spend any
- *    leftover budget on WC depth — deeper staging halves drain
- *    frequency.
- *  - Otherwise go hierarchical: children-per-coarse-bin sized so the
- *    refine pass's C-Buffer set sits in half the L1d, then widened until
- *    the coarse level's own WC working set fits the L2 budget.
- *  - Past even the LLC: when one flat level of C-Buffers at the final
- *    bin count would overflow half the *last-level* cache, no single-
- *    movement engine keeps its working set resident anywhere — fall
- *    back to the two-pass radix partitioner (kTwoPass), whose per-pass
- *    buffer sets are tiny by construction at the cost of moving every
- *    tuple twice (partitioning literature [54], [65]).
- *
- * The CacheBudget overload makes the decision rules unit-testable
- * against synthetic geometries; the convenience overload probes the
- * host (sysfs, HierarchyConfig fallback) and delegates.
- */
-inline PbEnginePlan
-autoTunePbEngine(uint64_t num_indices, uint32_t requested_bins,
-                 const CacheBudget &cb)
-{
-    COBRA_FATAL_IF(num_indices == 0, "empty index namespace");
-
-    uint32_t want_bins;
-    if (requested_bins != 0) {
-        want_bins = requested_bins;
-    } else {
-        const uint64_t target_range =
-            std::max<uint64_t>(16, cb.l1dBytes / 2 / sizeof(uint32_t));
-        uint64_t bins = ceilPow2(divCeil(num_indices, target_range));
-        bins = std::clamp<uint64_t>(bins, 16, uint64_t{1} << 20);
-        bins = std::min<uint64_t>(bins, ceilPow2(num_indices));
-        want_bins = static_cast<uint32_t>(bins);
-    }
-
-    PbEnginePlan out;
-    out.plan = BinningPlan::forMaxBins(num_indices, want_bins);
-    out.budget = cb;
-
-    const uint64_t flat_budget = cb.l2Bytes / 2;
-    const uint64_t llc_budget = std::max(cb.llcBytes / 2, flat_budget);
-    const uint64_t nb = out.plan.numBins;
-    if (nb * kPbBytesPerBin <= flat_budget) {
-        out.engine.kind = PbEngineKind::kWriteCombineSimd;
-        while (out.engine.wcLines < 4 &&
-               nb * (2 * out.engine.wcLines * kLineSize +
-                     sizeof(uint32_t)) <=
-                   flat_budget)
-            out.engine.wcLines *= 2;
-    } else if (nb * kPbBytesPerBin <= llc_budget) {
-        out.engine.kind = PbEngineKind::kHierarchical;
-        // log2(children per coarse bin): refine C-Buffers in half-L1d...
-        uint32_t k = floorLog2(
-            std::max<uint64_t>(2, cb.l1dBytes / 2 / kLineSize));
-        // ...widened until the coarse WC working set fits the L2 budget.
-        while (k < 31 &&
-               divCeil(nb, uint64_t{1} << k) * kPbBytesPerBin >
-                   flat_budget)
-            ++k;
-        out.engine.coarseBins =
-            static_cast<uint32_t>(divCeil(nb, uint64_t{1} << k));
-    } else {
-        // Fan-out past the LLC: two-pass radix. Coarse fan-out = the
-        // largest power of two whose buffer set is L2-resident, so pass
-        // 1 behaves like the flat WC case; pass 2 then refines one
-        // coarse bin's fine set at a time (cache-resident by locality).
-        out.engine.kind = PbEngineKind::kTwoPass;
-        uint64_t coarse = floorPow2(
-            std::max<uint64_t>(16, flat_budget / kPbBytesPerBin));
-        coarse = std::clamp<uint64_t>(coarse, 16, nb);
-        out.engine.coarseBins = static_cast<uint32_t>(coarse);
-    }
-    return out;
-}
-
-inline PbEnginePlan
-autoTunePbEngine(uint64_t num_indices, uint32_t requested_bins = 0,
-                 const HierarchyConfig &fallback = HierarchyConfig{})
-{
-    return autoTunePbEngine(num_indices, requested_bins,
-                            hostCacheBudget(fallback));
-}
-
 /**
  * Direction heuristic for PbDirection::kAuto (the pull/push trade from
  * "Specializing Coherence, Consistency, and Push/Pull for GPU Graph
@@ -196,9 +93,8 @@ autoTunePbEngine(uint64_t num_indices, uint32_t requested_bins = 0,
  * it only wins when that working set is cache-resident and the stream
  * is dense enough that the per-destination gather walk amortizes.
  *
- *  - LLC residency: destination array (4B/element, payload-independent
- *    like autoTunePbEngine) within half the LLC, leaving room for the
- *    streamed source view.
+ *  - LLC residency: destination array (4B/element, payload-independent)
+ *    within half the LLC, leaving room for the streamed source view.
  *  - Density: >= 4 updates per destination on average. Below that the
  *    gather walk touches more source-view cachelines per useful update
  *    than binning would move, so push keeps its bandwidth advantage.

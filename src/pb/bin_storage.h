@@ -173,10 +173,8 @@ class BinStorage
 
     /**
      * Per-bin tuple counts as established by the Init counting pass.
-     * Valid once all countInsert calls have happened (the hierarchical
-     * engine derives its coarse-level layout from these at
-     * finalizeInit, instead of paying a second counter array in the
-     * Init hot loop).
+     * Valid once all countInsert calls have happened (the skew sketch
+     * reads occupancy from these at the Init barrier).
      */
     const uint32_t *initCounts() const { return counts.data(); }
 

@@ -12,24 +12,13 @@
  *                      PbBinner (also the instrumented/simulated path).
  *  - kWriteCombine     64B-aligned per-bin staging lines drained with
  *                      aligned non-temporal bursts (software C-Buffer).
- *  - kWriteCombineSimd kWriteCombine plus batch-of-8 bin-index
- *                      computation (AVX2 when compiled+detected, scalar
- *                      otherwise) and staged prefetch of the target
- *                      C-Buffer lines.
- *  - kHierarchical     two-level binning: a coarse partition whose WC
- *                      working set stays cache-resident, then an
- *                      in-cache refine into the final bins — the
- *                      software escape from the bin-count compromise
- *                      for large index spaces (paper Section V-A's
- *                      per-level power-of-two bin ranges).
- *  - kTwoPass          two-pass radix partitioning (two_pass_binner.h,
- *                      promoted from simulator-comparison code): pass 1
- *                      scatters into coarse bins, pass 2 re-partitions
- *                      each coarse bin into its fine bins. Every tuple
- *                      moves twice, but each pass runs with a tiny,
- *                      cache-resident buffer set — the fallback when
- *                      the requested fan-out exceeds even the LLC
- *                      budget (partitioning literature [54], [65]).
+ *
+ * The engine set is deliberately small: three other engines (a SIMD
+ * batch-binning variant of kWriteCombine, a two-level hierarchical
+ * binner and a native two-pass radix partitioner) lost to kWriteCombine
+ * at every bin count where they were measured beyond the LLC
+ * (EXPERIMENTS.md, "Native engine sweep") and were removed. Their wire
+ * ids 2..4 stay unassigned and are rejected.
  *
  * Orthogonal to the engine choice, the skew* knobs below enable the
  * skew-adaptive Accumulate scheduler (skew sketch + hot-bin splitting +
@@ -52,10 +41,7 @@ namespace cobra {
 enum class PbEngineKind : uint8_t
 {
     kScalar = 0,
-    kWriteCombine,
-    kWriteCombineSimd,
-    kHierarchical,
-    kTwoPass,
+    kWriteCombine = 1,
 };
 
 inline const char *
@@ -64,9 +50,6 @@ to_string(PbEngineKind k)
     switch (k) {
       case PbEngineKind::kScalar: return "scalar";
       case PbEngineKind::kWriteCombine: return "wc";
-      case PbEngineKind::kWriteCombineSimd: return "wc-simd";
-      case PbEngineKind::kHierarchical: return "hier";
-      case PbEngineKind::kTwoPass: return "two_pass";
     }
     return "unknown";
 }
@@ -75,9 +58,7 @@ inline std::optional<PbEngineKind>
 engineKindFromName(std::string_view name)
 {
     for (PbEngineKind k :
-         {PbEngineKind::kScalar, PbEngineKind::kWriteCombine,
-          PbEngineKind::kWriteCombineSimd, PbEngineKind::kHierarchical,
-          PbEngineKind::kTwoPass})
+         {PbEngineKind::kScalar, PbEngineKind::kWriteCombine})
         if (name == to_string(k))
             return k;
     return std::nullopt;
@@ -126,17 +107,10 @@ directionFromName(std::string_view name)
     return std::nullopt;
 }
 
-/** Engine choice plus its tunables (auto-tuned in src/pb/auto_tune.h). */
+/** Engine choice plus its tunables. */
 struct PbEngineConfig
 {
     PbEngineKind kind = PbEngineKind::kScalar;
-
-    /**
-     * Hierarchical/two-pass only: level-1 (coarse) bin target; 0 lets
-     * the engine pick a balanced split. The engine rounds the implied
-     * per-level bin range to a power of two (paper Section V-A).
-     */
-    uint32_t coarseBins = 0;
 
     /**
      * WC depth: staging lines per bin (drained wholesale when full).
@@ -144,13 +118,6 @@ struct PbEngineConfig
      * frequency at the cost of a proportionally larger working set.
      */
     uint32_t wcLines = 1;
-
-    /**
-     * Testing hook: pin batch bin-index computation to the portable
-     * scalar implementation even when an AVX2 build detects AVX2, so
-     * the fallback path stays exercised on SIMD-capable hosts.
-     */
-    bool forceScalarBatch = false;
 
     /**
      * Skew-adaptive Accumulate: measure bin-occupancy skew at the

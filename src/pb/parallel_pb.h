@@ -16,12 +16,10 @@
  *    thread — the apply callback may freely mutate the indexed data.
  *
  * The Binning engine is selectable per run (PbEngineConfig): the
- * instruction-faithful scalar PbBinner (also the simulator's model),
- * one of the software C-Buffer engines of wc_engine.h (write-combining,
- * write-combining + SIMD batch binning, two-level hierarchical), or the
- * two-pass radix partitioner (two_pass_binner.h) for fan-outs past the
- * LLC budget. All engines produce identical per-bin tuple sequences, so
- * kernels and the differential oracle are engine-agnostic.
+ * instruction-faithful scalar PbBinner (also the simulator's model) or
+ * the software C-Buffer engine of wc_engine.h (write-combining). Both
+ * produce identical per-bin tuple sequences, so kernels and the
+ * differential oracle are engine-agnostic.
  *
  * Skew adaptation (PbEngineConfig::skewAdaptive): the static contiguous
  * Accumulate split is optimal for even bin occupancy but its finish
@@ -55,7 +53,6 @@
 #include "src/pb/pb_binner.h"
 #include "src/pb/skew_sketch.h"
 #include "src/pb/steal_queue.h"
-#include "src/pb/two_pass_binner.h"
 #include "src/pb/wc_engine.h"
 #include "src/resilience/cancel.h"
 #include "src/sim/phase_recorder.h"
@@ -299,20 +296,9 @@ class ParallelPbRunner
                                              merge, commutative);
             break;
         case PbEngineKind::kWriteCombine:
-        case PbEngineKind::kWriteCombineSimd:
             runImpl<WcBinner<Payload>, Slot>(num_updates, rec, index_of,
                                              update_of, apply, apply_priv,
                                              merge, commutative);
-            break;
-        case PbEngineKind::kHierarchical:
-            runImpl<HierarchicalBinner<Payload>, Slot>(
-                num_updates, rec, index_of, update_of, apply, apply_priv,
-                merge, commutative);
-            break;
-        case PbEngineKind::kTwoPass:
-            runImpl<TwoPassBinner<Payload>, Slot>(
-                num_updates, rec, index_of, update_of, apply, apply_priv,
-                merge, commutative);
             break;
         }
     }
@@ -323,8 +309,6 @@ class ParallelPbRunner
     {
         if constexpr (std::is_same_v<Binner, PbBinner<Payload>>)
             return std::make_unique<Binner>(plan_);
-        else if constexpr (std::is_same_v<Binner, TwoPassBinner<Payload>>)
-            return std::make_unique<Binner>(plan_, engine_.coarseBins);
         else
             return std::make_unique<Binner>(plan_, engine_);
     }

@@ -17,16 +17,6 @@
  *
  * Same Init / insert / flush / forEachInBin surface as PbBinner, at
  * fine-bin granularity.
- *
- * Native promotion (--engine two_pass): under an uninstrumented ExecCtx
- * the binner doubles as a ParallelPbRunner engine — the software escape
- * hatch when the requested fan-out exceeds even the LLC-derived budget
- * (auto_tune.h picks it there). The native path adds what every native
- * engine carries and the simulated comparison must not pay for: the
- * drain-site fault hooks on pass 2 (pass 1 inherits PbBinner's), and
- * per-bin cancellation + stall sites + the overflow tail in
- * forEachInBin. All additions are gated on !ctx.simulated(), so
- * bench_ablation_two_pass's counted costs are unchanged.
  */
 
 #ifndef COBRA_PB_TWO_PASS_BINNER_H
@@ -37,7 +27,6 @@
 #include <cstring>
 
 #include "src/pb/pb_binner.h"
-#include "src/pb/wc_engine.h"
 #include "src/util/bitops.h"
 
 namespace cobra {
@@ -126,12 +115,6 @@ class TwoPassBinner
     void
     forEachInBin(ExecCtx &ctx, uint32_t bin, Fn &&fn)
     {
-        if (!ctx.simulated()) {
-            // Native engine contract: per-bin cancellation checkpoint,
-            // stall site, prefetch, and the overflow tail.
-            wc_detail::forEachInBinNative(fineStore, bin, fn);
-            return;
-        }
         auto tuples = fineStore.bin(bin);
         for (const Tuple &t : tuples) {
             ctx.load(&t, sizeof(Tuple));
@@ -167,18 +150,8 @@ class TwoPassBinner
     void
     drainFine(ExecCtx &ctx, uint32_t b)
     {
-        uint32_t n = fineCounts[b];
-        Tuple *src = &fineBufs[size_t{b} * kTuplesPerBuffer];
-        if (!ctx.simulated()) {
-            // Native engine contract: pass-2 drains carry the same
-            // fault sites as every other native drain path, so the
-            // mutation matrix covers both tuple movements.
-            n = wc_detail::injectDrainFaults(fineStore, b, src, n);
-            if (n == ~0u) [[unlikely]] { // injected drop
-                fineCounts[b] = 0;
-                return;
-            }
-        }
+        const uint32_t n = fineCounts[b];
+        const Tuple *src = &fineBufs[size_t{b} * kTuplesPerBuffer];
         Tuple *dst = fineStore.appendRaw(b, n);
         std::memcpy(dst, src, n * sizeof(Tuple));
         ctx.instr(2);

@@ -1,42 +1,27 @@
 /**
  * @file
- * Software C-Buffers: native write-combining / SIMD / hierarchical
- * Binning engines for the host-parallel PB runtime.
+ * Software C-Buffers: the native write-combining Binning engine for
+ * the host-parallel PB runtime.
  *
  * COBRA removes two software-PB costs in hardware (paper Sections III-C,
  * IV): the per-tuple instruction/branch overhead of C-Buffer
  * bookkeeping, and the bin-count compromise (few big bins starve
  * Accumulate locality; many small bins thrash the Binning working set).
- * These engines are the closest software can get to each mechanism:
+ * WcBinner ("wc") is the closest software gets to the first: one
+ * 64B-aligned staging line per bin (wcLines deep), drained only as full
+ * aligned non-temporal bursts (streamLine64) into line-aligned bins —
+ * the software analogue of a C-Buffer evicting a complete line. Partial
+ * lines exist only at the end-of-phase flush.
  *
- *  - WcBinner ("wc"): one 64B-aligned staging line per bin (wcLines
- *    deep), drained only as full aligned non-temporal bursts
- *    (streamLine64) into line-aligned bins — the software analogue of a
- *    C-Buffer evicting a complete line. Partial lines exist only at the
- *    end-of-phase flush.
- *
- *  - WcBinner ("wc-simd"): additionally gathers tuples into a batch of
- *    8, computes all 8 bin indices at once (AVX2 via runtime dispatch,
- *    portable scalar otherwise — src/pb/simd_binning.h), and prefetches
- *    the 8 target staging lines before scattering, overlapping the
- *    cache misses that dominate large-bin-count Binning.
- *
- *  - HierarchicalBinner ("hier"): two power-of-two bin levels (paper
- *    Section V-A): a coarse partition whose WC working set stays
- *    upper-cache-resident, then a streaming in-cache refine of each
- *    coarse run into the final bins. This escapes the bin-count
- *    compromise for index spaces where a flat binner would need more
- *    C-Buffers than the caches can hold.
- *
- * All engines preserve intra-bin tuple order (the paper's generality
+ * The engine preserves intra-bin tuple order (the paper's generality
  * claim: non-commutative kernels like Neighbor-Populate must see bins
- * as order-preserving queues), produce bit-identical per-bin sequences
+ * as order-preserving queues), produces bit-identical per-bin sequences
  * to the flat scalar PbBinner (tests/test_wc_binning.cc pins this), and
- * thread the same FaultInjector drain sites so the differential oracle
- * and conservation checks of PR 2 cover the new hot path.
+ * threads the same FaultInjector drain sites so the differential oracle
+ * and conservation checks cover the native hot path.
  *
- * These classes are native-only: they accept an ExecCtx purely for
- * interface compatibility with PbBinner and never report through it —
+ * WcBinner is native-only: it accepts an ExecCtx purely for
+ * interface compatibility with PbBinner and never reports through it —
  * the simulated pipeline keeps using PbBinner, whose counted costs are
  * the paper's software-PB baseline.
  */
@@ -44,14 +29,12 @@
 #ifndef COBRA_PB_WC_ENGINE_H
 #define COBRA_PB_WC_ENGINE_H
 
-#include <algorithm>
 #include <cstring>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/pb/bin_storage.h"
 #include "src/pb/engine_config.h"
-#include "src/pb/simd_binning.h"
 #include "src/util/aligned_array.h"
 #include "src/util/stream_copy.h"
 
@@ -90,9 +73,8 @@ inline uint32_t
 injectDrainFaults(BinStorage<Payload> &store, uint32_t b, Tuple *src,
                   uint32_t n)
 {
-    // Per-drain cancellation checkpoint, shared by the WC and
-    // hierarchical final-drain paths (same cold-path discipline as the
-    // fault hooks themselves).
+    // Per-drain cancellation checkpoint (same cold-path discipline as
+    // the fault hooks themselves).
     cancellationPoint();
     if (auto *fi = FaultInjector::active(); fi) [[unlikely]] {
         if (fi->fire(FaultSite::kPbStallBinning, b))
@@ -118,7 +100,7 @@ injectDrainFaults(BinStorage<Payload> &store, uint32_t b, Tuple *src,
     return n;
 }
 
-/** Accumulate-phase streaming, shared by both native engines. */
+/** Accumulate-phase streaming of one line-aligned bin. */
 template <typename Payload, typename Fn>
 inline void
 forEachInBinNative(const BinStorage<Payload> &store, uint32_t bin,
@@ -166,10 +148,10 @@ reportDrains(const char *engine, uint64_t bursts, uint64_t tuples)
 } // namespace wc_detail
 
 /**
- * Flat write-combining binner (engine kinds kWriteCombine and
- * kWriteCombineSimd). Drop-in replacement for PbBinner inside
- * ParallelPbRunner — same phase methods, same BinStorage conservation
- * accounting — minus the per-tuple ExecCtx bookkeeping.
+ * Flat write-combining binner (engine kind kWriteCombine). Drop-in
+ * replacement for PbBinner inside ParallelPbRunner — same phase
+ * methods, same BinStorage conservation accounting — minus the
+ * per-tuple ExecCtx bookkeeping.
  */
 template <typename Payload>
 class WcBinner
@@ -182,9 +164,6 @@ class WcBinner
     WcBinner(const BinningPlan &plan, const PbEngineConfig &cfg)
         : store(plan, /*align_bins=*/true),
           bufTuples(cfg.wcLines * kTuplesPerLine),
-          batch(cfg.kind == PbEngineKind::kWriteCombineSimd),
-          batchFn(cfg.forceScalarBatch ? &binBatchScalar
-                                       : activeBinBatchFn()),
           bufs(alignedAlloc<Tuple>(static_cast<size_t>(plan.numBins) *
                                    bufTuples)),
           counts(plan.numBins)
@@ -217,21 +196,17 @@ class WcBinner
     void
     insert(ExecCtx &, uint32_t index, const Payload &payload)
     {
-        if (batch) {
-            pendingIdx[pendingN] = index;
-            pendingTup[pendingN] = makeTuple<Payload>(index, payload);
-            if (++pendingN == kBinBatch)
-                drainBatch();
-            return;
-        }
-        insertOne(plan().binOf(index), makeTuple<Payload>(index, payload));
+        const uint32_t b = plan().binOf(index);
+        uint32_t &cnt = counts[b];
+        Tuple *buf = bufs.get() + static_cast<size_t>(b) * bufTuples;
+        buf[cnt] = makeTuple<Payload>(index, payload);
+        if (++cnt == bufTuples)
+            drain(b, bufTuples);
     }
 
     void
     flush(ExecCtx &)
     {
-        if (batch && pendingN != 0)
-            drainBatch(); // ragged tail (< kBinBatch tuples)
         for (uint32_t b = 0; b < numBins(); ++b)
             if (counts[b] != 0)
                 drain(b, counts[b]);
@@ -247,36 +222,6 @@ class WcBinner
     }
 
   private:
-    void
-    insertOne(uint32_t b, const Tuple &t)
-    {
-        uint32_t &cnt = counts[b];
-        Tuple *buf = bufs.get() + static_cast<size_t>(b) * bufTuples;
-        buf[cnt] = t;
-        if (++cnt == bufTuples)
-            drain(b, bufTuples);
-    }
-
-    /**
-     * Scatter the pending batch: all bin indices first (one vector op
-     * under AVX2), then prefetch every target staging line, then store —
-     * the misses of up to kBinBatch staging lines overlap instead of
-     * serializing through one scalar dependence chain.
-     */
-    void
-    drainBatch()
-    {
-        uint32_t bins[kBinBatch];
-        batchFn(pendingIdx, pendingN, plan().rangeShift, numBins(), bins);
-        for (uint32_t i = 0; i < pendingN; ++i)
-            __builtin_prefetch(
-                bufs.get() + static_cast<size_t>(bins[i]) * bufTuples, 1,
-                3);
-        for (uint32_t i = 0; i < pendingN; ++i)
-            insertOne(bins[i], pendingTup[i]);
-        pendingN = 0;
-    }
-
     void
     drain(uint32_t b, uint32_t n)
     {
@@ -294,269 +239,9 @@ class WcBinner
 
     BinStorage<Payload> store;
     const uint32_t bufTuples; ///< staging tuples per bin (wcLines deep)
-    const bool batch;         ///< kWriteCombineSimd: batch + prefetch
-    const BinBatchFn batchFn;
     AlignedBuffer<Tuple> bufs;         ///< numBins aligned staging buffers
     AlignedArray<uint32_t, kPageSize> counts; ///< staging occupancy
     uint64_t drainBursts = 0; ///< NT drain bursts (reported at flush)
-    uint32_t pendingN = 0;
-    uint32_t pendingIdx[kBinBatch];
-    Tuple pendingTup[kBinBatch];
-};
-
-/**
- * Two-level hierarchical binner (engine kind kHierarchical).
- *
- * Level 1 scatters the update stream into coarse bins (each covering
- * 2^k final bins) through WC staging lines — with few coarse bins the
- * staging working set stays upper-cache-resident no matter how large
- * the final bin count is. flush() then refines each coarse run in
- * order: tuples stream back sequentially (prefetcher-friendly) and
- * scatter through a tiny per-coarse-bin set of child C-Buffers into the
- * final line-aligned bins. Both passes preserve arrival order, so final
- * bins are byte-identical to flat binning.
- *
- * The refine (second) pass is charged to the Binning phase — exactly
- * the extra binning work the paper's hierarchy trades for Accumulate
- * locality, so the per-phase benchmark counters expose the tradeoff.
- *
- * Fault-injection sites live on the final-level drain path (the one
- * that feeds Accumulate), keeping opportunity semantics comparable to
- * the flat engines.
- */
-template <typename Payload>
-class HierarchicalBinner
-{
-  public:
-    using Tuple = BinTuple<Payload>;
-    static constexpr uint32_t kTuplesPerLine =
-        kLineSize / static_cast<uint32_t>(sizeof(Tuple));
-
-    HierarchicalBinner(const BinningPlan &plan, const PbEngineConfig &cfg)
-        : store(plan, /*align_bins=*/true),
-          bufTuples(cfg.wcLines * kTuplesPerLine),
-          batchFn(cfg.forceScalarBatch ? &binBatchScalar
-                                       : activeBinBatchFn())
-    {
-        COBRA_FATAL_IF(cfg.wcLines == 0 || cfg.wcLines > 8,
-                       "WC depth must be 1..8 staging lines");
-        const uint32_t nb = plan.numBins;
-        if (nb <= 1) {
-            childShift = 0;
-        } else if (cfg.coarseBins == 0) {
-            // Balanced split: ~sqrt(numBins) coarse bins, sqrt children.
-            childShift = std::max<uint32_t>(1, ceilLog2(nb) / 2);
-        } else {
-            uint32_t target =
-                std::min<uint32_t>(std::max<uint32_t>(cfg.coarseBins, 1),
-                                   nb);
-            childShift = std::max<uint32_t>(
-                1, ceilLog2(ceilPow2(divCeil(nb, target))));
-        }
-        coarseBins =
-            static_cast<uint32_t>(divCeil(nb, uint64_t{1} << childShift));
-        coarseShiftTotal = plan.rangeShift + childShift;
-
-        coarseBufs = alignedAlloc<Tuple>(
-            static_cast<size_t>(coarseBins) * bufTuples);
-        coarseBufCnt =
-            AlignedArray<uint32_t, kPageSize>(coarseBins);
-        childBufs = alignedAlloc<Tuple>(
-            (size_t{1} << childShift) * kTuplesPerLine);
-        childCnt.assign(size_t{1} << childShift, 0);
-    }
-
-    BinStorage<Payload> &storage() { return store; }
-    const BinningPlan &plan() const { return store.binningPlan(); }
-    uint32_t numBins() const { return store.numBins(); }
-    uint64_t tuplesBinned() const { return store.totalTuples(); }
-
-    /** Level-1 (coarse) bin count actually used. */
-    uint32_t numCoarseBins() const { return coarseBins; }
-    /** Final bins per coarse bin == 1 << childShift (last may be short). */
-    uint32_t childrenPerCoarse() const { return 1u << childShift; }
-
-    void initCount(ExecCtx &ctx, uint32_t index)
-    {
-        store.countInsert(ctx, index);
-    }
-
-    void
-    finalizeInit(ExecCtx &ctx)
-    {
-        store.finalizeInit(ctx);
-        // Coarse layout falls out of the final counts (one Init pass
-        // feeds both levels): coarseCount[c] = sum of its children.
-        const uint32_t *fc = store.initCounts();
-        const uint32_t nb = numBins();
-        coarseStarts.assign(static_cast<size_t>(coarseBins) + 1, 0);
-        coarseCursors.assign(coarseBins, 0);
-        uint64_t run = 0;
-        for (uint32_t c = 0; c < coarseBins; ++c) {
-            run = divCeil(run, kTuplesPerLine) * kTuplesPerLine;
-            coarseStarts[c] = coarseCursors[c] = run;
-            const uint32_t first = c << childShift;
-            const uint32_t last = std::min(nb, first + (1u << childShift));
-            for (uint32_t b = first; b < last; ++b)
-                run += fc[b];
-        }
-        coarseStarts[coarseBins] = run;
-        coarseData = alignedAlloc<Tuple>(run);
-    }
-
-    /**
-     * Level-1 insert: batch bin computation against the *coarse* shift,
-     * then WC-scatter into the coarse runs.
-     */
-    void
-    insert(ExecCtx &, uint32_t index, const Payload &payload)
-    {
-        pendingIdx[pendingN] = index;
-        pendingTup[pendingN] = makeTuple<Payload>(index, payload);
-        if (++pendingN == kBinBatch)
-            drainBatch();
-    }
-
-    void
-    flush(ExecCtx &)
-    {
-        if (pendingN != 0)
-            drainBatch();
-        for (uint32_t c = 0; c < coarseBins; ++c)
-            if (coarseBufCnt[c] != 0)
-                coarseDrain(c, coarseBufCnt[c]);
-        // Our own refine reads the coarse runs back: order the weakly-
-        // ordered NT stores before the loads.
-        streamFence();
-        refine();
-        streamFence(); // final drains precede the phase barrier
-        // Every tuple crosses both levels, so each pass drained the
-        // full shard's tuple count.
-        wc_detail::reportDrains("hier.coarse", coarseDrains,
-                                tuplesBinned());
-        wc_detail::reportDrains("hier.final", finalDrains,
-                                tuplesBinned());
-    }
-
-    template <typename Fn>
-    void
-    forEachInBin(ExecCtx &, uint32_t bin, Fn &&fn)
-    {
-        wc_detail::forEachInBinNative(store, bin, fn);
-    }
-
-  private:
-    void
-    drainBatch()
-    {
-        uint32_t bins[kBinBatch];
-        // min(index >> coarseShiftTotal, coarseBins-1): the coarse level
-        // is just another power-of-two binning plan.
-        batchFn(pendingIdx, pendingN, coarseShiftTotal, coarseBins, bins);
-        for (uint32_t i = 0; i < pendingN; ++i)
-            __builtin_prefetch(coarseBufs.get() +
-                                   static_cast<size_t>(bins[i]) *
-                                       bufTuples,
-                               1, 3);
-        for (uint32_t i = 0; i < pendingN; ++i) {
-            const uint32_t c = bins[i];
-            uint32_t &cnt = coarseBufCnt[c];
-            Tuple *buf =
-                coarseBufs.get() + static_cast<size_t>(c) * bufTuples;
-            buf[cnt] = pendingTup[i];
-            if (++cnt == bufTuples)
-                coarseDrain(c, bufTuples);
-        }
-        pendingN = 0;
-    }
-
-    void
-    coarseDrain(uint32_t c, uint32_t n)
-    {
-        ++coarseDrains;
-        const uint64_t pos = coarseCursors[c];
-        COBRA_PANIC_IF(pos + n > coarseStarts[c + 1],
-                       "coarse bin " << c << " overflow (Init undercount)");
-        wc_detail::streamTuples(coarseData.get() + pos,
-                                coarseBufs.get() +
-                                    static_cast<size_t>(c) * bufTuples,
-                                n);
-        coarseCursors[c] = pos + n;
-        coarseBufCnt[c] = 0;
-    }
-
-    void
-    refine()
-    {
-        constexpr size_t kPrefetchAhead = 4 * kTuplesPerLine;
-        const uint32_t nb = numBins();
-        for (uint32_t c = 0; c < coarseBins; ++c) {
-            const uint32_t firstChild = c << childShift;
-            const uint32_t nchild =
-                std::min(1u << childShift, nb - firstChild);
-            std::fill_n(childCnt.begin(), nchild, 0u);
-            const Tuple *src = coarseData.get() + coarseStarts[c];
-            const size_t n = coarseCursors[c] - coarseStarts[c];
-            for (size_t i = 0; i < n; ++i) {
-                if (i % kTuplesPerLine == 0 && i + kPrefetchAhead < n)
-                    __builtin_prefetch(src + i + kPrefetchAhead, 0, 0);
-                const Tuple t = src[i];
-                const uint32_t local =
-                    plan().binOf(t.index) - firstChild;
-                COBRA_PANIC_IF(local >= nchild,
-                               "refine: tuple escaped its coarse bin");
-                uint32_t &cnt = childCnt[local];
-                Tuple *buf = childBufs.get() +
-                    static_cast<size_t>(local) * kTuplesPerLine;
-                buf[cnt] = t;
-                if (++cnt == kTuplesPerLine)
-                    finalDrain(firstChild + local, local, kTuplesPerLine);
-            }
-            for (uint32_t local = 0; local < nchild; ++local)
-                if (childCnt[local] != 0)
-                    finalDrain(firstChild + local, local, childCnt[local]);
-        }
-    }
-
-    void
-    finalDrain(uint32_t b, uint32_t local, uint32_t n)
-    {
-        ++finalDrains;
-        Tuple *src =
-            childBufs.get() + static_cast<size_t>(local) * kTuplesPerLine;
-        n = wc_detail::injectDrainFaults(store, b, src, n);
-        if (n == ~0u) [[unlikely]] { // injected drop
-            childCnt[local] = 0;
-            return;
-        }
-        Tuple *dst = store.appendRaw(b, n);
-        wc_detail::streamTuples(dst, src, n);
-        childCnt[local] = 0;
-    }
-
-    BinStorage<Payload> store; ///< final (level-2) bins, line-aligned
-    const uint32_t bufTuples;  ///< coarse staging depth per bin
-    const BinBatchFn batchFn;
-    uint32_t childShift = 0;       ///< log2(final bins per coarse bin)
-    uint32_t coarseBins = 0;       ///< level-1 bin count
-    uint32_t coarseShiftTotal = 0; ///< index -> coarse bin shift
-
-    // Level-1 runs: line-aligned starts so coarse drains burst too.
-    std::vector<uint64_t> coarseStarts; ///< coarseBins + 1 (padded)
-    std::vector<uint64_t> coarseCursors;
-    AlignedBuffer<Tuple> coarseData;
-
-    AlignedBuffer<Tuple> coarseBufs; ///< coarse WC staging lines
-    AlignedArray<uint32_t, kPageSize> coarseBufCnt;
-    AlignedBuffer<Tuple> childBufs; ///< refine C-Buffers (one line each)
-    std::vector<uint32_t> childCnt;
-
-    uint64_t coarseDrains = 0; ///< level-1 drain bursts
-    uint64_t finalDrains = 0;  ///< final-level drain bursts
-
-    uint32_t pendingN = 0;
-    uint32_t pendingIdx[kBinBatch];
-    Tuple pendingTup[kBinBatch];
 };
 
 } // namespace cobra

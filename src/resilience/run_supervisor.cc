@@ -58,7 +58,6 @@ RunSupervisor::degrade(PbEngineConfig &engine, uint32_t &bins,
         }
         if (bins > cfg_.minBins) {
             bins = std::max(cfg_.minBins, bins / 2);
-            engine.coarseBins = 0; // let hier re-derive a balanced split
             return true;
         }
         if (engine.direction != PbDirection::kPull) {
@@ -71,20 +70,6 @@ RunSupervisor::degrade(PbEngineConfig &engine, uint32_t &bins,
         }
     }
     switch (engine.kind) {
-      case PbEngineKind::kWriteCombineSimd:
-        engine.kind = PbEngineKind::kWriteCombine;
-        return true;
-      case PbEngineKind::kHierarchical:
-        // Same large-fan-out regime, different mechanism: if the
-        // hierarchy itself misbehaved, two-pass radix still reaches the
-        // full fine fan-out with tiny per-pass buffer sets before we
-        // surrender bin count by dropping to flat WC.
-        engine.kind = PbEngineKind::kTwoPass;
-        engine.coarseBins = 0; // re-derive the classic sqrt split
-        return true;
-      case PbEngineKind::kTwoPass:
-        engine.kind = PbEngineKind::kWriteCombine;
-        return true;
       case PbEngineKind::kWriteCombine:
         engine.kind = PbEngineKind::kScalar;
         return true;

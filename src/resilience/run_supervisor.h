@@ -13,13 +13,13 @@
  *  - a RetryPolicy-driven attempt loop that, on every *recoverable*
  *    failure, re-runs with a degraded engine configuration:
  *
- *        wc-simd -> wc -> scalar -> serial reference (runBaseline)
+ *        wc -> scalar -> serial reference (runBaseline)
  *
- *    (kHierarchical re-enters the ladder at wc). kResourceExhausted
- *    additionally shrinks the footprint first — WC depth to one line,
- *    then halving the bin count down to a floor — before stepping the
- *    engine down, because a smaller plan usually fits where a simpler
- *    engine would not be faster.
+ *    kResourceExhausted additionally shrinks the footprint first — WC
+ *    depth to one line, then halving the bin count down to a floor,
+ *    then flipping to pull — before stepping the engine down, because
+ *    a smaller plan usually fits where a simpler engine would not be
+ *    faster.
  *
  * Every attempt's result (including the final rung's) is re-verified
  * against the kernel's serial golden reference via the differential

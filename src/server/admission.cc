@@ -10,9 +10,10 @@ estimateRequestCostBytes(const RequestFrame &req, size_t pool_threads)
     const uint64_t threads = std::max<size_t>(1, pool_threads);
     const uint64_t updates = std::max<uint64_t>(1, req.numUpdates());
     // Widest tuple any served kernel bins is 8 B (NeighborPopulate's
-    // index+payload); two-pass/hierarchical engines materialize a
-    // second copy of the stream, hence x2, plus the bin-boundary
-    // bookkeeping that scales with bins.
+    // index+payload). The x2 was sized for engines that kept a second
+    // copy of the stream; none does now, but the factor stays as
+    // headroom until the estimate is re-fitted from measured peaks.
+    // Plus the bin-boundary bookkeeping that scales with bins.
     const uint64_t tuple_storage = updates * 8 * 2;
     const uint64_t bin_tables =
         uint64_t{req.bins} * 16 * threads; // offsets/counts per thread

@@ -117,7 +117,7 @@ validateRequest(const RequestFrame &req)
                       "unknown kernel id " +
                           std::to_string(static_cast<unsigned>(req.kernel)));
     if (static_cast<uint8_t>(req.engine) >
-        static_cast<uint8_t>(PbEngineKind::kTwoPass))
+        static_cast<uint8_t>(PbEngineKind::kWriteCombine))
         return Status(ErrorCode::kInvalidArgument,
                       "unknown engine id " +
                           std::to_string(static_cast<unsigned>(req.engine)));
@@ -373,7 +373,7 @@ decodeResponse(const uint8_t *data, size_t len, ResponseFrame *out)
     resp.degradations = r.u32();
     resp.usedBaseline = r.u8() != 0;
     const uint8_t engine = r.u8();
-    if (engine > static_cast<uint8_t>(PbEngineKind::kTwoPass))
+    if (engine > static_cast<uint8_t>(PbEngineKind::kWriteCombine))
         return malformed("unknown engine id " + std::to_string(engine));
     resp.finalEngine = static_cast<PbEngineKind>(engine);
     if (r.u16() != 0)

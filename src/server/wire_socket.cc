@@ -172,13 +172,13 @@ SocketServer::stop()
     }
     if (acceptor_.joinable())
         acceptor_.join();
-    std::vector<std::thread> conns;
+    std::list<Connection> conns;
     {
         std::lock_guard<std::mutex> lk(conn_mtx_);
         conns.swap(conns_);
     }
-    for (auto &t : conns)
-        t.join();
+    for (Connection &c : conns)
+        c.thread.join();
     ::unlink(path_.c_str());
 }
 
@@ -200,11 +200,27 @@ SocketServer::acceptLoop()
             return;
         }
         std::lock_guard<std::mutex> lk(conn_mtx_);
-        conns_.emplace_back([this, fd] {
+        // Clients may connect once per request, so finished threads
+        // are joined here rather than left for stop().
+        reapFinished();
+        Connection &c = conns_.emplace_back();
+        c.thread = std::thread([this, fd, &c] {
             serveConnection(fd);
             ::close(fd);
+            c.done.store(true, std::memory_order_release);
         });
     }
+}
+
+void
+SocketServer::reapFinished()
+{
+    conns_.remove_if([](Connection &c) {
+        if (!c.done.load(std::memory_order_acquire))
+            return false;
+        c.thread.join();
+        return true;
+    });
 }
 
 void

@@ -27,6 +27,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -79,8 +80,17 @@ class SocketServer
     const std::string &path() const { return path_; }
 
   private:
+    /** One connection's thread; `done` is set as its last action. */
+    struct Connection
+    {
+        std::thread thread;
+        std::atomic<bool> done{false};
+    };
+
     void acceptLoop();
     void serveConnection(int fd);
+    /** Join and drop finished connections (caller holds conn_mtx_). */
+    void reapFinished();
 
     BatchServer &server_;
     const std::string path_;
@@ -90,7 +100,8 @@ class SocketServer
     std::atomic<bool> stopping_{false};
 
     std::mutex conn_mtx_;
-    std::vector<std::thread> conns_;
+    /** A list: each thread holds a reference to its own element. */
+    std::list<Connection> conns_;
 };
 
 } // namespace cobra

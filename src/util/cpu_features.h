@@ -1,24 +1,13 @@
 /**
  * @file
- * Host CPU capability and cache-topology probes for the native PB
- * runtime.
+ * Host cache-topology probe for the native PB runtime: native runs
+ * size against the *host's* cache geometry when measurable (sysfs, see
+ * hostCacheBudget in src/pb/auto_tune.h), and against the simulated
+ * Table II machine's HierarchyConfig otherwise, so native wall-clock
+ * runs and simulated runs are each sized for the machine they actually
+ * execute on.
  *
- * Two consumers:
- *
- *  - SIMD dispatch (src/pb/simd_binning.cc): the AVX2 batch-binning
- *    translation unit is compiled only under COBRA_NATIVE_ARCH and
- *    selected at startup iff the host actually executes AVX2 — so one
- *    binary stays correct on every x86-64 host, and non-x86 builds fall
- *    back to the portable scalar path with zero preprocessor spread.
- *
- *  - The PB auto-tuner (src/pb/auto_tune.h): C-Buffer working-set
- *    budgets come from the *host's* cache geometry when measurable
- *    (sysfs), and from the simulated Table II machine's HierarchyConfig
- *    otherwise, so native wall-clock runs and simulated runs are each
- *    tuned for the machine they actually execute on.
- *
- * Everything here is a cold-path, cached-once probe: no hot code reads
- * sysfs or re-executes CPUID.
+ * This is a cold-path, cached-once probe: no hot code reads sysfs.
  */
 
 #ifndef COBRA_UTIL_CPU_FEATURES_H
@@ -30,30 +19,10 @@
 
 namespace cobra {
 
-/** ISA extensions the native engines can dispatch on. */
-struct HostCpuFeatures
-{
-    bool avx2 = false;
-};
-
-/** Probe once, cache for the process lifetime. */
-inline const HostCpuFeatures &
-hostCpuFeatures()
-{
-    static const HostCpuFeatures f = [] {
-        HostCpuFeatures r;
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-        r.avx2 = __builtin_cpu_supports("avx2");
-#endif
-        return r;
-    }();
-    return f;
-}
-
 /**
  * Data-cache geometry of the executing host. `detected` says whether
  * the numbers came from the machine (sysfs) or are all-zero placeholders
- * the caller must replace with fallback values (the auto-tuner uses the
+ * the caller must replace with fallback values (hostCacheBudget uses the
  * simulated machine's HierarchyConfig, keeping behavior deterministic on
  * hosts that hide their topology, e.g. some containers).
  */

@@ -991,6 +991,50 @@ TEST(ServerRecovery, FingerprintDivergenceRefusesStartup)
     }
 }
 
+// A WAL written before an engine was removed may name its id. Replay
+// must refuse it typed, never remap it to a surviving engine: the
+// record is CRC-valid, but its request frame no longer validates.
+TEST(ServerRecovery, RemovedEngineIdInWalRefusesStartup)
+{
+    ThreadPool pool(4);
+    const EdgeList edges = generateUniform(kN, 1 << 12, 27);
+    constexpr size_t kEngineByte = 25; // request-frame offset
+    for (uint8_t removed : {2, 3, 4}) {
+        SCOPED_TRACE("engine id " + std::to_string(removed));
+        const fs::path dir =
+            freshDir("srv_engine" + std::to_string(removed));
+        {
+            BatchServer server(durableConfig(dir), pool);
+            for (size_t b = 0; b < 2; ++b)
+                ASSERT_EQ(server.call(mutateRequest(edges, 1, b)).code,
+                          ErrorCode::kOk);
+            server.stop();
+        }
+        WalReadResult rr;
+        ASSERT_TRUE(readWal(dir.string(), &rr).ok());
+        ASSERT_EQ(rr.records.size(), 2u);
+        WalRecord patched = rr.records[1];
+        ASSERT_EQ(patched.payload[kEngineByte],
+                  static_cast<uint8_t>(PbEngineKind::kWriteCombine));
+        patched.payload[kEngineByte] = removed;
+        const std::vector<uint8_t> b0 = encodeWalRecord(rr.records[0]);
+        const std::vector<uint8_t> b1 = encodeWalRecord(patched);
+        std::string bytes(b0.begin(), b0.end());
+        bytes.append(b1.begin(), b1.end());
+        spit(dir / walSegmentName(1), bytes);
+
+        try {
+            BatchServer revived(durableConfig(dir), pool);
+            FAIL() << "a removed engine id must refuse startup";
+        } catch (const Error &e) {
+            EXPECT_EQ(e.code(), ErrorCode::kCorruptFile) << e.what();
+            EXPECT_NE(std::string(e.what()).find("unknown engine id"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(ServerRecovery, OlderCheckpointPlusWalSurvivesCorruptNewest)
 {
     ThreadPool pool(4);

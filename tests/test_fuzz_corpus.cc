@@ -229,8 +229,7 @@ TEST(FuzzCorpus, FrameServedKernelSeedsDecode)
     };
     for (const Case &c :
          {Case{"valid_request_pagerank.bin", ServerKernel::kPagerank},
-          Case{"valid_request_spmv.bin", ServerKernel::kSpmv},
-          Case{"valid_request_spmv_twopass.bin", ServerKernel::kSpmv}}) {
+          Case{"valid_request_spmv.bin", ServerKernel::kSpmv}}) {
         SCOPED_TRACE(c.file);
         const std::string raw = slurp(corpusDir() / "frame" / c.file);
         ASSERT_GT(raw.size(), 1u);
@@ -252,6 +251,33 @@ TEST(FuzzCorpus, FrameServedKernelSeedsDecode)
     EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument);
     EXPECT_NE(s.message().find("unknown kernel id 7"), std::string::npos)
         << s.message();
+}
+
+// Engine ids 2..4 belonged to removed engines. Seeds that name them
+// (two were valid requests while those engines existed) must come back
+// kInvalidArgument, never decode as a surviving engine.
+TEST(FuzzCorpus, FrameRemovedEngineSeedsAreInvalidArgument)
+{
+    struct Case
+    {
+        const char *file;
+        const char *why;
+    };
+    for (const Case &c :
+         {Case{"bad_engine_id2.bin", "unknown engine id 2"},
+          Case{"bad_engine_id3_np.bin", "unknown engine id 3"},
+          Case{"bad_engine_id4_spmv.bin", "unknown engine id 4"}}) {
+        SCOPED_TRACE(c.file);
+        const std::string raw = slurp(corpusDir() / "frame" / c.file);
+        ASSERT_GT(raw.size(), 1u);
+        RequestFrame req;
+        const Status s = decodeRequest(
+            reinterpret_cast<const uint8_t *>(raw.data()) + 1,
+            raw.size() - 1, &req);
+        EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument) << s.toString();
+        EXPECT_NE(s.message().find(c.why), std::string::npos)
+            << s.message();
+    }
 }
 
 // The mutation ops (kMutate, kSnapshot) widened the request frame: the

@@ -12,6 +12,7 @@
 #include "src/pb/auto_tune.h"
 #include "src/kernels/degree_count.h"
 #include "src/kernels/neighbor_populate.h"
+#include "src/kernels/pagerank.h"
 
 namespace cobra {
 namespace {
@@ -104,6 +105,28 @@ TEST(Runner, PbIdealNoWorseThanAnySingleRun)
         RunResult r = runner.run(k, Technique::PbSw, o);
         EXPECT_LE(ideal.cycles(), r.cycles() * 1.0001)
             << "ideal beaten by bins=" << bins;
+    }
+}
+
+// The simulated hierarchy renames host pages but keeps their offsets,
+// so a kernel that moved a buffer between runs would measure different
+// cache behavior each time. One PagerankKernel simulated twice must
+// repeat its statistics exactly under every technique.
+TEST(Runner, PagerankSimulatesIdenticallyTwice)
+{
+    const auto &g = suite().graph("KRON");
+    PagerankKernel k(&g.out, &g.in);
+    Runner runner;
+    for (Technique t :
+         {Technique::Baseline, Technique::PbSw, Technique::Cobra}) {
+        SCOPED_TRACE(to_string(t));
+        const RunResult a = runner.run(k, t);
+        const RunResult b = runner.run(k, t);
+        EXPECT_TRUE(a.verified);
+        EXPECT_TRUE(b.verified);
+        EXPECT_EQ(a.total.llcMisses, b.total.llcMisses);
+        EXPECT_EQ(a.total.dramLines, b.total.dramLines);
+        EXPECT_EQ(a.total.cycles, b.total.cycles);
     }
 }
 

@@ -58,9 +58,6 @@ testConfig(uint32_t max_attempts)
 const PbEngineKind kAllEngines[] = {
     PbEngineKind::kScalar,
     PbEngineKind::kWriteCombine,
-    PbEngineKind::kWriteCombineSimd,
-    PbEngineKind::kHierarchical,
-    PbEngineKind::kTwoPass,
 };
 
 TEST(RunSupervisor, IdleSupervisorRunsOnce)
@@ -189,7 +186,7 @@ TEST(RunSupervisor, RecoverableInjectionConvergesOncePerFailure)
 // spill and the re-planned retry must come back spill-free and
 // oracle-identical (the overflow-recovery satellite).
 //
-// The WC/hier stores pad bin starts to 64B lines, so a +1 skew can be
+// The WC store pads bin starts to 64B lines, so a +1 skew can be
 // silently absorbed by a bin's pad slack. This stream gives every node
 // exactly 8 updates (8 tuples == one full line), so every bin's count
 // is line-exact, leaving no slack: the skew must spill under every
@@ -218,13 +215,6 @@ TEST(RunSupervisor, OverflowingPlanRecoversUnderEveryEngine)
 
         SupervisorReport rep = sup.runPbParallel(k, pool, rec, 64, ec);
         EXPECT_TRUE(rep.ok) << rep.toString();
-        // Under two_pass the skew lands in the *coarse* store (first
-        // finalizeInit of the single shard); the overlapping cursor
-        // duplicates a tuple during the pass-2 replay, so conservation
-        // breaks there just like a direct fine-store spill — every
-        // engine takes the same retry-and-certify path. (Both two_pass
-        // stores are exercised per-opportunity in
-        // test_two_pass_native.cc.)
         ASSERT_GE(rep.attempts.size(), 2u) << rep.toString();
         EXPECT_GT(rep.attempts[0].overflowTuples, 0u) << rep.toString();
         EXPECT_EQ(rep.attempts.back().overflowTuples, 0u);
@@ -267,13 +257,13 @@ TEST(RunSupervisor, TightMemoryBudgetFlipsDirectionToPull)
 }
 
 // Degradation ladder shape, checked directly on the attempt records:
-// a deadline failure steps wc-simd -> wc -> scalar (no footprint
-// shrink), and the report's finalEngine matches the attempt that won.
+// a deadline failure steps wc -> scalar (no footprint shrink), and the
+// report's finalEngine matches the attempt that won.
 TEST(RunSupervisor, DeadlineFailuresStepTheEngineLadderDown)
 {
     ThreadPool pool(2);
-    // Three one-shot stalls would need three injector scopes; instead
-    // check the ladder via a single stall starting from wc-simd.
+    // Two one-shot stalls would need two injector scopes; instead
+    // check the ladder via a single stall starting from wc.
     FaultInjector fi(FaultSite::kPbStallBinning);
     fi.setStallCapMs(3000);
     FaultInjector::Scope fscope(fi);
@@ -284,14 +274,14 @@ TEST(RunSupervisor, DeadlineFailuresStepTheEngineLadderDown)
     cfg.deadline = 400ms;
     RunSupervisor sup(cfg);
     PbEngineConfig ec;
-    ec.kind = PbEngineKind::kWriteCombineSimd;
+    ec.kind = PbEngineKind::kWriteCombine;
 
     SupervisorReport rep = sup.runPbParallel(k, pool, rec, 64, ec);
     EXPECT_TRUE(rep.ok) << rep.toString();
     ASSERT_EQ(rep.attempts.size(), 2u);
-    EXPECT_EQ(rep.attempts[0].engine.kind, PbEngineKind::kWriteCombineSimd);
-    EXPECT_EQ(rep.attempts[1].engine.kind, PbEngineKind::kWriteCombine);
-    EXPECT_EQ(rep.finalEngine.kind, PbEngineKind::kWriteCombine);
+    EXPECT_EQ(rep.attempts[0].engine.kind, PbEngineKind::kWriteCombine);
+    EXPECT_EQ(rep.attempts[1].engine.kind, PbEngineKind::kScalar);
+    EXPECT_EQ(rep.finalEngine.kind, PbEngineKind::kScalar);
     EXPECT_EQ(rep.finalBins, 64u);
     EXPECT_TRUE(k.verify());
 }

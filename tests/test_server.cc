@@ -85,7 +85,7 @@ TEST(Frame, RequestRoundTripPreservesEveryField)
 {
     RequestFrame req = makeRequest(7, 42, 64, 128,
                                    ServerKernel::kNeighborPopulate);
-    req.engine = PbEngineKind::kHierarchical;
+    req.engine = PbEngineKind::kWriteCombine;
     req.skewAdaptive = true;
     req.wcLines = 4;
     req.deadlineMs = 1500;
@@ -188,6 +188,40 @@ TEST(Frame, DecodeRejectsCorruptHeaders)
     EXPECT_FALSE(corrupted(28, 3).ok()) << "non-pow2 bins";
     EXPECT_FALSE(corrupted(32, 0).ok()) << "wcLines 0";
     EXPECT_FALSE(corrupted(40, 0xff).ok()) << "fault site";
+}
+
+// Engine ids 2..4 named engines that were removed. They are refused
+// typed on every path, never remapped to a surviving engine: a request
+// is kInvalidArgument (validated or decoded), a response is malformed.
+TEST(Frame, RemovedEngineIdsAreRejectedNotRemapped)
+{
+    constexpr size_t kRequestEngineByte = 25;
+    constexpr size_t kResponseEngineByte = 41;
+    const RequestFrame base = makeRequest(1, 1, 8, 16);
+    ResponseFrame resp;
+    resp.finalEngine = PbEngineKind::kWriteCombine;
+    const std::vector<uint8_t> resp_buf = encodeResponse(resp);
+    ASSERT_EQ(resp_buf[kResponseEngineByte],
+              static_cast<uint8_t>(PbEngineKind::kWriteCombine));
+    for (uint8_t removed : {2, 3, 4}) {
+        SCOPED_TRACE("engine id " + std::to_string(removed));
+        RequestFrame req = base;
+        req.engine = static_cast<PbEngineKind>(removed);
+        Status s = validateRequest(req);
+        EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument) << s.toString();
+
+        std::vector<uint8_t> buf = encodeRequest(base);
+        buf[kRequestEngineByte] = removed;
+        RequestFrame out;
+        s = decodeRequest(buf.data(), buf.size(), &out);
+        EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument) << s.toString();
+
+        std::vector<uint8_t> rbuf = resp_buf;
+        rbuf[kResponseEngineByte] = removed;
+        ResponseFrame rout;
+        s = decodeResponse(rbuf.data(), rbuf.size(), &rout);
+        EXPECT_EQ(s.code(), ErrorCode::kCorruptFile) << s.toString();
+    }
 }
 
 TEST(Frame, DecodeRejectsOutOfRangePayloadIndex)
@@ -630,10 +664,9 @@ TEST(BatchServer, ChaosSoakConservesEveryRequestWithoutHangs)
               case 0: // valid degree / wc
                 req = makeRequest(tenant, id, 4096, 2048);
                 break;
-              case 1: // valid np / hierarchical
+              case 1: // valid np / wc
                 req = makeRequest(tenant, id, 4096, 2048,
                                   ServerKernel::kNeighborPopulate);
-                req.engine = PbEngineKind::kHierarchical;
                 break;
               case 2: // malformed: out-of-range payload index
                 req = makeRequest(tenant, id, 64, 128);
@@ -763,6 +796,62 @@ TEST(SocketServer, MalformedFrameGetsTypedErrorResponse)
     ASSERT_TRUE(decodeResponse(buf.data(), buf.size(), &resp).ok());
     EXPECT_EQ(resp.code, ErrorCode::kCorruptFile);
     ::close(fd);
+
+    sock.stop();
+    server.stop();
+}
+
+/** Live threads of this process. */
+size_t
+threadCount()
+{
+    size_t n = 0;
+    for ([[maybe_unused]] const auto &e :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+/**
+ * Memory mappings of this process. A finished but unjoined thread
+ * leaves /proc/self/task at once, yet keeps its stack mapped.
+ */
+size_t
+mappingCount()
+{
+    std::ifstream in("/proc/self/maps");
+    size_t n = 0;
+    for (std::string line; std::getline(in, line);)
+        ++n;
+    return n;
+}
+
+// ServerClient connects once per request, so the accept loop must not
+// keep one finished thread (and its stack mapping) per request until
+// stop(): the process's thread and mapping counts stay flat.
+TEST(SocketServer, SequentialClientsDoNotAccumulateThreads)
+{
+    if (!std::filesystem::exists("/proc/self/task"))
+        GTEST_SKIP() << "no /proc/self";
+    ThreadPool pool(2);
+    BatchServer server(ServerConfig{}, pool);
+    SocketServer sock(server, testSocketPath("reap"));
+    ASSERT_TRUE(sock.start().ok());
+    ClientConfig ccfg;
+    ccfg.socketPath = sock.path();
+    ServerClient c(ccfg);
+    const RequestFrame req = makeRequest(1, 1, 8, 16);
+
+    ResponseFrame resp;
+    ASSERT_TRUE(c.call(req, &resp).ok()); // warm-up connection
+    const size_t threads_before = threadCount();
+    const size_t maps_before = mappingCount();
+    for (int i = 0; i < 500; ++i) {
+        ASSERT_TRUE(c.call(req, &resp).ok());
+        ASSERT_EQ(resp.code, ErrorCode::kOk) << resp.message;
+    }
+    EXPECT_LE(threadCount(), threads_before + 4);
+    EXPECT_LE(mappingCount(), maps_before + 32);
 
     sock.stop();
     server.stop();

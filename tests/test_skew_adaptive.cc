@@ -219,8 +219,7 @@ TEST(AdaptiveAccumulate, MatchesSerialReferenceOnZipfStream)
 {
     EdgeList el = generateZipf(kNodes, kEdges, 1.0, 99);
     for (PbEngineKind kind :
-         {PbEngineKind::kScalar, PbEngineKind::kWriteCombine,
-          PbEngineKind::kHierarchical, PbEngineKind::kTwoPass}) {
+         {PbEngineKind::kScalar, PbEngineKind::kWriteCombine}) {
         for (size_t threads : {1u, 4u}) {
             SCOPED_TRACE(std::string(to_string(kind)) + " threads=" +
                          std::to_string(threads));

@@ -1,23 +1,25 @@
 /**
  * @file
- * Equivalence and property tests for the native Binning engines
- * (src/pb/wc_engine.h) against the flat scalar PbBinner reference.
+ * Equivalence and property tests for the native write-combining
+ * Binning engine (src/pb/wc_engine.h) against the flat scalar PbBinner
+ * reference, plus the host cache-geometry probe native runs size
+ * against.
  *
- * The load-bearing property: every engine must hand Accumulate the
+ * The load-bearing property: the engine must hand Accumulate the
  * *identical per-bin tuple sequence* as flat scalar binning — not just
  * the same multiset. Order matters because non-commutative kernels
  * (Neighbor-Populate) consume bins as order-preserving queues, and PR
  * 2's determinism guarantees are stated over sequences. The property
  * is checked for random streams across payload sizes (4/8/16B tuples),
- * every engine variant (WC depths, SIMD batch on/off via the
- * forced-scalar hook, hierarchical splits including non-power-of-two
- * targets), and every ragged batch tail size 0..kBinBatch-1.
+ * WC depths, and every ragged staging-line tail.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <random>
-#include <sstream>
 #include <vector>
 
 #include "src/graph/generators.h"
@@ -26,7 +28,6 @@
 #include "src/pb/auto_tune.h"
 #include "src/pb/parallel_pb.h"
 #include "src/pb/pb_binner.h"
-#include "src/pb/simd_binning.h"
 #include "src/pb/wc_engine.h"
 #include "src/util/cpu_features.h"
 #include "src/util/thread_pool.h"
@@ -94,32 +95,6 @@ binWith(Binner &&bn, const BinningPlan &plan,
     return out;
 }
 
-/** The engine-variant matrix every property run is checked against. */
-std::vector<PbEngineConfig>
-engineMatrix()
-{
-    std::vector<PbEngineConfig> m;
-    m.push_back({PbEngineKind::kWriteCombine, 0, 1, false});
-    m.push_back({PbEngineKind::kWriteCombine, 0, 2, false});
-    m.push_back({PbEngineKind::kWriteCombineSimd, 0, 1, false});
-    // Forced-scalar batch: keeps the portable batch path exercised even
-    // when an AVX2 build on an AVX2 host would dispatch the SIMD one.
-    m.push_back({PbEngineKind::kWriteCombineSimd, 0, 2, true});
-    m.push_back({PbEngineKind::kHierarchical, 0, 1, false});
-    m.push_back({PbEngineKind::kHierarchical, 4, 2, false});
-    m.push_back({PbEngineKind::kHierarchical, 3, 1, true}); // non-pow2
-    return m;
-}
-
-std::string
-describe(const PbEngineConfig &c)
-{
-    std::ostringstream oss;
-    oss << to_string(c.kind) << " wcLines=" << c.wcLines << " coarse="
-        << c.coarseBins << (c.forceScalarBatch ? " scalar-batch" : "");
-    return oss.str();
-}
-
 template <typename Payload>
 void
 checkAllEngines(uint64_t num_indices, uint32_t max_bins, size_t n,
@@ -129,15 +104,15 @@ checkAllEngines(uint64_t num_indices, uint32_t max_bins, size_t n,
     const auto stream = randomStream<Payload>(num_indices, n, seed);
     const auto ref =
         binWith(PbBinner<Payload>(plan), plan, stream);
-    for (const PbEngineConfig &cfg : engineMatrix()) {
-        auto got = cfg.kind == PbEngineKind::kHierarchical
-            ? binWith(HierarchicalBinner<Payload>(plan, cfg), plan,
-                      stream)
-            : binWith(WcBinner<Payload>(plan, cfg), plan, stream);
+    for (uint32_t wc_lines : {1u, 2u}) {
+        PbEngineConfig cfg;
+        cfg.kind = PbEngineKind::kWriteCombine;
+        cfg.wcLines = wc_lines;
+        auto got = binWith(WcBinner<Payload>(plan, cfg), plan, stream);
         ASSERT_EQ(got.size(), ref.size());
         for (uint32_t b = 0; b < plan.numBins; ++b)
             EXPECT_TRUE(got[b] == ref[b])
-                << describe(cfg) << ": bin " << b
+                << "wcLines=" << wc_lines << ": bin " << b
                 << " sequence diverges from flat scalar (n=" << n
                 << ", bins=" << plan.numBins << ")";
     }
@@ -160,20 +135,20 @@ TEST(WcBinning, MatchesScalarReference16ByteTuples)
     checkAllEngines<IdxValPayload>(1 << 13, 32, 12000, 3);
 }
 
-// Every ragged batch-tail size: the SIMD/batch engines stage kBinBatch
-// tuples at a time, so stream lengths of every residue mod kBinBatch
-// must flush correctly (including the empty stream).
+// Every ragged tail size: a staging line holds 16 four-byte tuples, so
+// stream lengths of every residue mod 16 must flush correctly
+// (including the empty stream).
 TEST(WcBinning, RaggedTailsAllResidues)
 {
-    for (uint32_t tail = 0; tail < kBinBatch; ++tail) {
+    for (uint32_t tail = 0; tail < 16; ++tail) {
         checkAllEngines<NoPayload>(1 << 10, 16, tail, 100 + tail);
         checkAllEngines<uint32_t>(1 << 10, 16, 1000 + tail, 200 + tail);
     }
 }
 
 // Plans whose bin count is not a power of two (forMaxBins produces
-// them freely): the hierarchical engine's short last coarse bin and the
-// clamp-to-last-bin path must agree with the scalar reference.
+// them freely): the clamp-to-last-bin path must agree with the scalar
+// reference.
 TEST(WcBinning, NonPowerOfTwoBinCount)
 {
     const BinningPlan plan = BinningPlan::forMaxBins(100000, 48);
@@ -195,8 +170,7 @@ checkKernelAllEngines(NodeId nodes)
     EdgeList el = generateUniform(nodes, 8ull * nodes, 99);
     ThreadPool pool(4);
     for (PbEngineKind kind :
-         {PbEngineKind::kScalar, PbEngineKind::kWriteCombine,
-          PbEngineKind::kWriteCombineSimd, PbEngineKind::kHierarchical}) {
+         {PbEngineKind::kScalar, PbEngineKind::kWriteCombine}) {
         KernelT k(nodes, &el);
         PhaseRecorder rec;
         PbEngineConfig cfg;
@@ -218,9 +192,9 @@ TEST(WcBinning, NeighborPopulateVerifiesUnderEveryEngine)
     checkKernelAllEngines<NeighborPopulateKernel>(1 << 12);
 }
 
-// ---- fault sites stay live on the new drain paths ----
+// ---- fault sites stay live on the WC drain path ----
 
-TEST(WcBinning, ConservationTripsOnDroppedDrainPerEngine)
+TEST(WcBinning, ConservationTripsOnDroppedDrain)
 {
     ThreadPool pool(2);
     const uint64_t indices = 1 << 12;
@@ -232,48 +206,24 @@ TEST(WcBinning, ConservationTripsOnDroppedDrainPerEngine)
         x = rng() % indices;
     std::vector<uint64_t> sums(indices, 0);
 
-    for (PbEngineKind kind :
-         {PbEngineKind::kWriteCombine, PbEngineKind::kWriteCombineSimd,
-          PbEngineKind::kHierarchical}) {
-        PbEngineConfig cfg;
-        cfg.kind = kind;
-        ParallelPbRunner<NoPayload> runner(pool, plan, cfg);
-        PhaseRecorder rec;
-        FaultInjector fi(FaultSite::kPbDropDrain);
-        {
-            FaultInjector::Scope scope(fi);
-            runner.run(
-                updates, rec, [&](size_t i) { return stream[i]; },
-                [&](size_t i) {
-                    return std::pair<uint32_t, NoPayload>(stream[i],
-                                                          NoPayload{});
-                },
-                [&](const BinTuple<NoPayload> &t) { ++sums[t.index]; });
-        }
-        EXPECT_GE(fi.fires(), 1u) << to_string(kind);
-        EXPECT_FALSE(runner.conservation().ok()) << to_string(kind);
-        EXPECT_LT(runner.tuplesBinned(), updates) << to_string(kind);
+    PbEngineConfig cfg;
+    cfg.kind = PbEngineKind::kWriteCombine;
+    ParallelPbRunner<NoPayload> runner(pool, plan, cfg);
+    PhaseRecorder rec;
+    FaultInjector fi(FaultSite::kPbDropDrain);
+    {
+        FaultInjector::Scope scope(fi);
+        runner.run(
+            updates, rec, [&](size_t i) { return stream[i]; },
+            [&](size_t i) {
+                return std::pair<uint32_t, NoPayload>(stream[i],
+                                                      NoPayload{});
+            },
+            [&](const BinTuple<NoPayload> &t) { ++sums[t.index]; });
     }
-}
-
-// ---- batch binning dispatch ----
-
-TEST(WcBinning, ActiveBatchFnAgreesWithScalar)
-{
-    std::mt19937 rng(11);
-    for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
-                     size_t{9}, size_t{64}, size_t{100}}) {
-        std::vector<uint32_t> idx(n), a(n, 0xdead), b(n, 0xbeef);
-        for (auto &x : idx)
-            x = rng();
-        binBatchScalar(idx.data(), n, 7, 300, a.data());
-        activeBinBatchFn()(idx.data(), n, 7, 300, b.data());
-        EXPECT_EQ(a, b) << "n=" << n << " fn=" << activeBinBatchName();
-    }
-#if !defined(COBRA_NATIVE_ARCH)
-    // Portable build: dispatch must land on the scalar path.
-    EXPECT_STREQ(activeBinBatchName(), "scalar");
-#endif
+    EXPECT_GE(fi.fires(), 1u);
+    EXPECT_FALSE(runner.conservation().ok());
+    EXPECT_LT(runner.tuplesBinned(), updates);
 }
 
 // ---- supporting utilities ----
@@ -298,27 +248,16 @@ TEST(WcBinning, ValidatePbBinCount)
     EXPECT_FALSE(validatePbBinCount(2047).ok());
 }
 
-TEST(WcBinning, AutoTunerPicksSaneEngines)
+// hostCacheBudget (what resolvePbDirection sizes against) reports
+// nonzero capacities either from sysfs or from the HierarchyConfig
+// fallback.
+TEST(WcBinning, HostCacheBudgetIsUsable)
 {
-    for (uint64_t n : {uint64_t{1} << 10, uint64_t{1} << 20,
-                       uint64_t{1} << 26}) {
-        PbEnginePlan ep = autoTunePbEngine(n);
-        EXPECT_GT(ep.plan.numBins, 0u);
-        EXPECT_LE(ep.plan.numBins, uint64_t{1} << 20);
-        EXPECT_GE(ep.engine.wcLines, 1u);
-        EXPECT_LE(ep.engine.wcLines, 4u);
-        EXPECT_NE(ep.engine.kind, PbEngineKind::kScalar);
-        if (ep.engine.kind == PbEngineKind::kHierarchical) {
-            EXPECT_GT(ep.engine.coarseBins, 0u);
-            EXPECT_LT(ep.engine.coarseBins, ep.plan.numBins);
-        }
-        EXPECT_GT(ep.budget.l1dBytes, 0u);
-        EXPECT_GT(ep.budget.l2Bytes, 0u);
-        EXPECT_GT(ep.budget.llcBytes, 0u);
-    }
-    // Explicit bin request is honored as the forMaxBins ceiling.
-    PbEnginePlan ep = autoTunePbEngine(1 << 20, 256);
-    EXPECT_LE(ep.plan.numBins, 256u);
+    const CacheBudget cb = hostCacheBudget();
+    EXPECT_GT(cb.l1dBytes, 0u);
+    EXPECT_GT(cb.l2Bytes, 0u);
+    EXPECT_GT(cb.llcBytes, 0u);
+    EXPECT_EQ(cb.fromHost, hostCacheGeometry().detected);
 }
 
 TEST(WcBinning, HostCacheGeometryConsistentWhenDetected)
@@ -329,6 +268,86 @@ TEST(WcBinning, HostCacheGeometryConsistentWhenDetected)
     EXPECT_GT(g.l1dBytes, 0u);
     EXPECT_GE(g.l2Bytes, g.l1dBytes);
     EXPECT_GE(g.llcBytes, g.l2Bytes);
+}
+
+// ---- cache-geometry probe against sysfs fixture trees ----
+
+class TempDir
+{
+  public:
+    TempDir()
+    {
+        char tmpl[] = "/tmp/cobra_cache_XXXXXX";
+        COBRA_FATAL_IF(::mkdtemp(tmpl) == nullptr, "mkdtemp failed");
+        path_ = tmpl;
+    }
+    ~TempDir() { std::filesystem::remove_all(path_); }
+    const std::string &path() const { return path_; }
+
+  private:
+    std::string path_;
+};
+
+void
+writeIndex(const std::string &base, int idx, const std::string &level,
+           const std::string &type, const std::string &size)
+{
+    const std::string dir = base + "/index" + std::to_string(idx);
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/level") << level << "\n";
+    std::ofstream(dir + "/type") << type << "\n";
+    std::ofstream(dir + "/size") << size << "\n";
+}
+
+TEST(CacheGeometry, FixtureTopologyIsDetected)
+{
+    TempDir d;
+    writeIndex(d.path(), 0, "1", "Data", "32K");
+    writeIndex(d.path(), 1, "1", "Instruction", "32K");
+    writeIndex(d.path(), 2, "2", "Unified", "1024K");
+    writeIndex(d.path(), 3, "3", "Unified", "8M");
+    HostCacheGeometry g = detectHostCacheGeometry(d.path());
+    EXPECT_TRUE(g.detected);
+    EXPECT_EQ(g.l1dBytes, 32u << 10);
+    EXPECT_EQ(g.l2Bytes, 1u << 20);
+    EXPECT_EQ(g.llcBytes, 8u << 20);
+}
+
+TEST(CacheGeometry, MissingSysfsFallsBackUndetectedWithoutThrowing)
+{
+    HostCacheGeometry g =
+        detectHostCacheGeometry("/nonexistent/cobra/cache");
+    EXPECT_FALSE(g.detected);
+    EXPECT_EQ(g.l1dBytes, 0u);
+    EXPECT_EQ(g.l2Bytes, 0u);
+    EXPECT_EQ(g.llcBytes, 0u);
+}
+
+TEST(CacheGeometry, GarbageSizesFallBackUndetectedWithoutThrowing)
+{
+    TempDir d;
+    writeIndex(d.path(), 0, "1", "Data", "banana");
+    writeIndex(d.path(), 1, "2", "Unified", "");
+    HostCacheGeometry g = detectHostCacheGeometry(d.path());
+    EXPECT_FALSE(g.detected);
+}
+
+TEST(CacheGeometry, PartialTopologyNeedsL1AndOuterLevel)
+{
+    // L1-only: not enough to trust (no outer budget).
+    TempDir d;
+    writeIndex(d.path(), 0, "1", "Data", "32K");
+    HostCacheGeometry only_l1 = detectHostCacheGeometry(d.path());
+    EXPECT_FALSE(only_l1.detected);
+
+    // L1 + L3 but no L2: L2 budget borrows the LLC size.
+    TempDir d2;
+    writeIndex(d2.path(), 0, "1", "Data", "32K");
+    writeIndex(d2.path(), 1, "3", "Unified", "4M");
+    HostCacheGeometry no_l2 = detectHostCacheGeometry(d2.path());
+    EXPECT_TRUE(no_l2.detected);
+    EXPECT_EQ(no_l2.l2Bytes, 4u << 20);
+    EXPECT_EQ(no_l2.llcBytes, 4u << 20);
 }
 
 } // namespace
