@@ -411,16 +411,14 @@ BM_DegreeCountPbParallel(benchmark::State &state,
 }
 
 /**
- * Skew sweep: static contiguous Accumulate vs the skew-adaptive
- * scheduler (hot-bin splitting + work stealing), uniform control vs
- * power-law alpha in {0.6, 0.8, 1.0}. Args: {nodes, max_bins, pool
- * threads, alpha_x100}. On uniform inputs the two arms should tie
- * (the adaptive path degenerates to balanced chunks); as alpha grows,
- * the static split's accumulate_med_s is bounded by the fattest bin
- * while the adaptive arm levels it across workers.
+ * Skew sweep: the one push Accumulate scheduler (occupancy-balanced
+ * whole-bin chunks, work stealing) on a uniform control and power-law
+ * alpha in {0.6, 0.8, 1.0} plus RMAT. Args: {nodes, max_bins, pool
+ * threads, alpha_x100}. accumulate_med_s shows how evenly the stealing
+ * workers finish as the fattest bins grow.
  */
 void
-BM_DegreeCountPbParallelSkewSweep(benchmark::State &state, bool adaptive)
+BM_DegreeCountPbParallelSkewSweep(benchmark::State &state)
 {
     SkewInput &in = skewInput(state.range(0), state.range(3));
     DegreeCountKernel k(in.nodes, &in.edges);
@@ -428,7 +426,6 @@ BM_DegreeCountPbParallelSkewSweep(benchmark::State &state, bool adaptive)
     ThreadPool pool(static_cast<size_t>(state.range(2)));
     PbEngineConfig eng;
     eng.kind = PbEngineKind::kWriteCombine;
-    eng.skewAdaptive = adaptive;
     PhaseSeconds ps;
     for (auto _ : state) {
         PhaseRecorder rec;
@@ -443,10 +440,9 @@ BM_DegreeCountPbParallelSkewSweep(benchmark::State &state, bool adaptive)
     hw.report(state);
     state.counters["alpha_x100"] =
         static_cast<double>(state.range(3));
-    state.SetLabel(std::string(adaptive ? "adaptive" : "static") +
-                   (state.range(3) < 0
-                        ? std::string("/rmat")
-                        : "/alpha=" + std::to_string(state.range(3))));
+    state.SetLabel(state.range(3) < 0
+                       ? std::string("rmat")
+                       : "alpha=" + std::to_string(state.range(3)));
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(in.edges.size()));
 }
@@ -737,26 +733,22 @@ BENCHMARK_CAPTURE(BM_DegreeCountPbParallel, wc, kWcEng)
 // Skew sweep at the 2^21-update anchor (2^19 nodes, 4x updates, 4096
 // bins): uniform control (alpha_x100=0), power-law 0.6/0.8/1.0, and
 // the RMAT recursive-marginal arm (alpha_x100=-1, Graph500 shape),
-// each with the static and the adaptive scheduler, single-threaded and
-// with a 4-worker pool (stealing only matters with someone to steal
-// from; the 1-thread arm measures pure scheduler overhead).
-#define COBRA_SKEW_SWEEP_ARGS                                           \
-    ->Args({1 << 19, 4096, 1, 0})                                       \
-        ->Args({1 << 19, 4096, 4, 0})                                   \
-        ->Args({1 << 19, 4096, 1, 60})                                  \
-        ->Args({1 << 19, 4096, 4, 60})                                  \
-        ->Args({1 << 19, 4096, 1, 80})                                  \
-        ->Args({1 << 19, 4096, 4, 80})                                  \
-        ->Args({1 << 19, 4096, 1, 100})                                 \
-        ->Args({1 << 19, 4096, 4, 100})                                 \
-        ->Args({1 << 19, 4096, 1, -1})                                  \
-        ->Args({1 << 19, 4096, 4, -1})                                  \
-        ->UseRealTime()
-BENCHMARK_CAPTURE(BM_DegreeCountPbParallelSkewSweep, static_sched,
-                  false) COBRA_SKEW_SWEEP_ARGS;
-BENCHMARK_CAPTURE(BM_DegreeCountPbParallelSkewSweep, adaptive_sched,
-                  true) COBRA_SKEW_SWEEP_ARGS;
-#undef COBRA_SKEW_SWEEP_ARGS
+// single-threaded and with a 4-worker pool (stealing only matters with
+// someone to steal from; the 1-thread arm measures pure scheduler
+// overhead). The 2^14 row is the bench-smoke configuration.
+BENCHMARK(BM_DegreeCountPbParallelSkewSweep)
+    ->Args({1 << 14, 64, 2, 100})
+    ->Args({1 << 19, 4096, 1, 0})
+    ->Args({1 << 19, 4096, 4, 0})
+    ->Args({1 << 19, 4096, 1, 60})
+    ->Args({1 << 19, 4096, 4, 60})
+    ->Args({1 << 19, 4096, 1, 80})
+    ->Args({1 << 19, 4096, 4, 80})
+    ->Args({1 << 19, 4096, 1, 100})
+    ->Args({1 << 19, 4096, 4, 100})
+    ->Args({1 << 19, 4096, 1, -1})
+    ->Args({1 << 19, 4096, 4, -1})
+    ->UseRealTime();
 
 // Direction sweep at a fixed 2^21-update stream pushed into 2^14 /
 // 2^18 / 2^21 destinations (density 128x / 8x / 1x), uniform and

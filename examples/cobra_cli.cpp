@@ -100,10 +100,6 @@ struct Options
     size_t threads = 0;     ///< pool threads for --engine (0 = hardware)
     long long threadsRaw = 0; ///< as typed, pre-validation
     bool threadsSet = false;  ///< --threads was given explicitly
-    bool skewAdaptive = false; ///< skew-adaptive Accumulate scheduler
-    uint32_t skewTopK = 8;     ///< heavy-hitter depth / max split bins
-    double hotFactor = 8.0;    ///< hot-bin threshold (x mean occupancy)
-    bool numaPin = false;      ///< NUMA-pin pool workers (multi-socket)
     bool native = false;
     bool stats = false;
     bool json = false;       ///< machine-readable output
@@ -139,8 +135,6 @@ usage(const char *argv0)
            "       [--native] [--engine scalar|wc]\n"
            "       [--direction push|pull|auto]\n"
            "       [--threads T] [--stats] [--json]\n"
-           "       [--skew-adaptive] [--skew-topk K] [--hot-factor F]\n"
-           "       [--numa-pin]\n"
            "       [--dump-trace out.trc]\n"
            "       [--check] [--inject SITE[:N[:SEED]]]\n"
            "       [--trace out.json] [--metrics out.json]\n"
@@ -231,15 +225,6 @@ parse(int argc, char **argv)
         } else if (a == "--threads") {
             o.threadsRaw = std::atoll(need(++i).c_str());
             o.threadsSet = true;
-        } else if (a == "--skew-adaptive") {
-            o.skewAdaptive = true;
-        } else if (a == "--skew-topk") {
-            o.skewTopK = static_cast<uint32_t>(
-                std::atoll(need(++i).c_str()));
-        } else if (a == "--hot-factor") {
-            o.hotFactor = std::atof(need(++i).c_str());
-        } else if (a == "--numa-pin") {
-            o.numaPin = true;
         } else if (a == "--native") {
             o.native = true;
         } else if (a == "--stats") {
@@ -431,7 +416,7 @@ runCli(int argc, char **argv)
             std::cerr << "error: --mutate-ops must be positive\n";
             return 2;
         }
-        ThreadPool pool(o.threads, o.numaPin);
+        ThreadPool pool(o.threads);
         PhaseRecorder rec;
         DynamicGraph graph(g->nodes);
         IncrementalDegreeCount inc(graph);
@@ -576,12 +561,9 @@ runCli(int argc, char **argv)
                 // oracle covers every engine's drain path.
                 PbEngineConfig ec;
                 ec.kind = *engine_kind;
-                ec.skewAdaptive = o.skewAdaptive;
-                ec.skewTopK = o.skewTopK;
-                ec.hotFactor = o.hotFactor;
                 if (direction)
                     ec.direction = *direction;
-                ThreadPool pool(o.threads, o.numaPin);
+                ThreadPool pool(o.threads);
                 if (o.supervised()) {
                     // Resilient mode: deadline + retry-with-degradation
                     // + memory budget around the same runtime. Failures

@@ -51,7 +51,6 @@ struct Options
     uint32_t bins = 1024;
     std::string engine = "wc";
     uint32_t wcLines = 1;
-    bool skewAdaptive = false;
     uint32_t deadlineMs = 0;
     std::string inject; ///< SITE[:N[:SEED]]
     uint32_t timeoutMs = 30000;
@@ -72,8 +71,7 @@ usage(const char *argv0)
            "       [--requests R] [--threads C] [--updates N] "
            "[--indices I]\n"
            "       [--dist uniform|zipf:ALPHA|rmat] [--bins B]\n"
-           "       [--engine scalar|wc]\n"
-           "       [--wc-lines L] [--skew-adaptive]\n"
+           "       [--engine scalar|wc] [--wc-lines L]\n"
            "       [--deadline-ms D] [--inject SITE[:N[:SEED]]]\n"
            "       [--timeout-ms T] [--retries R] [--backoff-ms B]\n"
            "       [--mutate B] [--mutate-ops M] [--mutate-start S]\n"
@@ -151,8 +149,6 @@ main(int argc, char **argv)
             o.engine = next();
         else if (a == "--wc-lines")
             o.wcLines = static_cast<uint32_t>(std::stoul(next()));
-        else if (a == "--skew-adaptive")
-            o.skewAdaptive = true;
         else if (a == "--deadline-ms")
             o.deadlineMs = static_cast<uint32_t>(std::stoul(next()));
         else if (a == "--inject")
@@ -205,7 +201,6 @@ main(int argc, char **argv)
     proto.tenantId = o.tenant;
     proto.kernel = *kernel;
     proto.engine = *engine;
-    proto.skewAdaptive = o.skewAdaptive;
     proto.bins = o.bins;
     proto.wcLines = o.wcLines;
     proto.deadlineMs = o.deadlineMs;

@@ -6,7 +6,8 @@
 #   scripts/tier1.sh --tsan             # ThreadSanitizer build in build-tsan/
 #   scripts/tier1.sh --labels unit      # only ctest tests labeled unit
 #   scripts/tier1.sh --labels 'property|e2e'   # ctest -L regex
-#   scripts/tier1.sh --tsan --labels skew      # work-stealing suites
+#   scripts/tier1.sh --tsan --labels skew      # StealQueue, scheduler
+#                                              # and cache-probe suites
 #                                              # under ThreadSanitizer
 #   scripts/tier1.sh --tsan --labels server    # batch-server lifecycle
 #                                              # (admission, shedding,
@@ -23,7 +24,7 @@
 #                                              # ThreadSanitizer
 #
 # Label taxonomy lives in tests/CMakeLists.txt; `skew` marks the
-# skew-adaptive scheduling / StealQueue / native-engine suites, which
+# StealQueue, push Accumulate scheduler and cache-probe suites, which
 # are the ones worth re-running under --tsan after touching the
 # Accumulate scheduler, `server` marks the batch-server suites
 # (concurrent supervised runs on a shared pool), worth the same

@@ -120,22 +120,14 @@ DegreeCountKernel::runPbParallel(ThreadPool &pool, PhaseRecorder &rec,
         pbOverflow = runner.overflowTuples();
         return;
     }
-    // Degree counting is a commutative sum, so it also supplies the
-    // privatized-reduction ops: under skewAdaptive a hot bin's tuples
-    // may be counted into per-sub-range uint32_t slots and folded back
-    // with += in fixed order (identical totals, any schedule).
-    runner.run<uint32_t>(
+    runner.run(
         el.size(), rec, [&el](size_t i) { return el[i].src; },
         [&el](size_t i) {
             return std::pair<uint32_t, NoPayload>(el[i].src, NoPayload{});
         },
         // Bin-partitioned Accumulate: deg[t.index] is touched only by
         // the thread owning t.index's bin, so a plain increment is safe.
-        [this](const BinTuple<NoPayload> &t) { ++deg[t.index]; },
-        [](const BinTuple<NoPayload> &, uint32_t &slot) { ++slot; },
-        [this](uint32_t index, const uint32_t &slot) {
-            deg[index] += slot;
-        });
+        [this](const BinTuple<NoPayload> &t) { ++deg[t.index]; });
     pbHealth = runner.conservation();
     pbOverflow = runner.overflowTuples();
 }

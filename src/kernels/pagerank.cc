@@ -218,11 +218,11 @@ PagerankKernel::runPbParallel(ThreadPool &pool, PhaseRecorder &rec,
     } else {
         // Push: the update stream is the out-CSR flat edge array;
         // update i targets neighborsArray()[i] and carries the source's
-        // contribution. Commutative float sum, so the privatized
-        // sub-range ops enable hot-bin splitting under skewAdaptive.
+        // contribution. Each bin is applied whole in shard order, so
+        // the float sums are bit-identical at every thread count.
         const std::vector<NodeId> &dst = outG->neighborsArray();
         const std::vector<NodeId> &src = edgeSources();
-        runner.run<float>(
+        runner.run(
             nupd, rec, [&dst](size_t i) { return dst[i]; },
             [this, &dst, &src](size_t i) {
                 return std::pair<uint32_t, float>(dst[i],
@@ -230,12 +230,6 @@ PagerankKernel::runPbParallel(ThreadPool &pool, PhaseRecorder &rec,
             },
             [this](const BinTuple<float> &t) {
                 sums[t.index] += t.payload;
-            },
-            [](const BinTuple<float> &t, float &slot) {
-                slot += t.payload;
-            },
-            [this](uint32_t index, const float &slot) {
-                sums[index] += slot;
             });
     }
     pbHealth = runner.conservation();

@@ -186,13 +186,11 @@ SpmvKernel::runPbParallel(ThreadPool &pool, PhaseRecorder &rec,
     } else {
         // Push: the update stream is A^T's flat nonzero array; update
         // i targets A row colIdx[i] and carries vals[i] * x[column].
-        // Commutative double sum, so the privatized sub-range ops
-        // enable hot-bin splitting under skewAdaptive.
         buildPushStream();
         const auto &col_idx = at_->colIdxArray();
         const auto &vals = at_->valsArray();
         const std::vector<double> &x = *x_;
-        runner.run<double>(
+        runner.run(
             nupd, rec, [&col_idx](size_t i) { return col_idx[i]; },
             [this, &col_idx, &vals, &x](size_t i) {
                 return std::pair<uint32_t, double>(
@@ -200,12 +198,6 @@ SpmvKernel::runPbParallel(ThreadPool &pool, PhaseRecorder &rec,
             },
             [this](const BinTuple<double> &t) {
                 y[t.index] += t.payload;
-            },
-            [](const BinTuple<double> &t, double &slot) {
-                slot += t.payload;
-            },
-            [this](uint32_t index, const double &slot) {
-                y[index] += slot;
             });
     }
     pbHealth = runner.conservation();

@@ -98,18 +98,12 @@ hostCacheBudget(const HierarchyConfig &fallback = HierarchyConfig{})
  *  - Density: >= 4 updates per destination on average. Below that the
  *    gather walk touches more source-view cachelines per useful update
  *    than binning would move, so push keeps its bandwidth advantage.
- *  - Skew: when the caller knows the heavy-hitter mass (SkewSketch
- *    from a previous attempt, or generator stats), a stream whose top
- *    bins absorb most updates favors push — binning concentrates the
- *    hot destinations into cache-resident bins anyway, and pull's
- *    per-destination sharding load-balances poorly under power laws.
  *
  * Explicit push/pull requests pass through untouched.
  */
 inline PbDirection
 resolvePbDirection(PbDirection requested, uint64_t num_updates,
-                   uint64_t num_indices, const CacheBudget &cb,
-                   double skew_hot_fraction = 0.0)
+                   uint64_t num_indices, const CacheBudget &cb)
 {
     if (requested != PbDirection::kAuto)
         return requested;
@@ -118,9 +112,8 @@ resolvePbDirection(PbDirection requested, uint64_t num_updates,
     const uint64_t dest_bytes = num_indices * sizeof(uint32_t);
     const bool llc_resident = dest_bytes <= cb.llcBytes / 2;
     const bool dense = num_updates >= 4 * num_indices;
-    const bool skewed = skew_hot_fraction > 0.5;
-    return (llc_resident && dense && !skewed) ? PbDirection::kPull
-                                              : PbDirection::kPush;
+    return (llc_resident && dense) ? PbDirection::kPull
+                                   : PbDirection::kPush;
 }
 
 inline PbDirection

@@ -20,9 +20,9 @@
  * (EXPERIMENTS.md, "Native engine sweep") and were removed. Their wire
  * ids 2..4 stay unassigned and are rejected.
  *
- * Orthogonal to the engine choice, the skew* knobs below enable the
- * skew-adaptive Accumulate scheduler (skew sketch + hot-bin splitting +
- * work-stealing; see src/pb/skew_sketch.h and parallel_pb.h).
+ * The push Accumulate has one scheduler and no knobs: occupancy-
+ * balanced runs of whole bins drained through a work-stealing queue
+ * (parallel_pb.h).
  *
  * Kept dependency-free so src/kernels/kernel.h can expose an engine
  * parameter without dragging the engines themselves into every kernel.
@@ -107,7 +107,7 @@ directionFromName(std::string_view name)
     return std::nullopt;
 }
 
-/** Engine choice plus its tunables. */
+/** Engine choice, its one tunable, and the Accumulate direction. */
 struct PbEngineConfig
 {
     PbEngineKind kind = PbEngineKind::kScalar;
@@ -120,44 +120,11 @@ struct PbEngineConfig
     uint32_t wcLines = 1;
 
     /**
-     * Skew-adaptive Accumulate: measure bin-occupancy skew at the
-     * Init barrier (SkewSketch, free — the counts already exist) and
-     * replace the static contiguous bin split with a stolen work-queue
-     * of occupancy-balanced bin chunks. Off by default: the static
-     * split is the paper's layout and the right answer for uniform
-     * streams.
-     */
-    bool skewAdaptive = false;
-
-    /**
-     * Heavy-hitter depth of the sketch == most bins the scheduler may
-     * split into privatized sub-ranges per run.
-     */
-    uint32_t skewTopK = 8;
-
-    /**
-     * A bin is "hot" (eligible for splitting) when its tuple count
-     * exceeds hotFactor * mean. Below that, stealing whole bin chunks
-     * already levels the finish line.
-     */
-    double hotFactor = 8.0;
-
-    /**
-     * Sub-ranges a hot bin is split into. Fixed (not derived from the
-     * pool size) so the split points — and therefore the privatized
-     * partial results and their fixed-order merge — are identical for
-     * every host thread count: determinism is schedule-independent by
-     * construction.
-     */
-    uint32_t hotSubRanges = 4;
-
-    /**
-     * Update-propagation direction (appended last so positional
-     * aggregate initializers of the earlier fields keep compiling).
-     * kPull routes runs through ParallelPbRunner::runPull — the
-     * destination-sharded gather that skips Init+Binning entirely —
-     * when the kernel provides a gather view; kernels without one fall
-     * back to push. kAuto defers to resolvePbDirection().
+     * Update-propagation direction. kPull routes runs through
+     * ParallelPbRunner::runPull — the destination-sharded gather that
+     * skips Init+Binning entirely — when the kernel provides a gather
+     * view; kernels without one fall back to push. kAuto defers to
+     * resolvePbDirection().
      */
     PbDirection direction = PbDirection::kPush;
 };

@@ -10,10 +10,16 @@
  *    C-Buffers), so threads never write shared state. C-Buffer drains use
  *    real non-temporal stores (see stream_copy.h) followed by one fence
  *    at the phase barrier.
- *  - Accumulate: bins are partitioned contiguously across threads. A bin
- *    covers a disjoint index range, so the thread that owns bin b applies
- *    tuples from *every* thread's copy of bin b without racing any other
- *    thread — the apply callback may freely mutate the indexed data.
+ *  - Accumulate: a bin covers a disjoint index range, so the worker
+ *    that claims bin b applies tuples from *every* thread's copy of b
+ *    (Algorithm 2, lines 6-11) without racing any other worker — the
+ *    apply callback may freely mutate the indexed data. Bins are
+ *    grouped into runs of consecutive bins holding about the same
+ *    number of tuples (the Init counts give every bin's total for free)
+ *    and drained through a work-stealing queue (steal_queue.h): each
+ *    worker claims from its own slice first and steals only once that
+ *    slice runs dry, so a power-law stream no longer ends the phase
+ *    behind the owner of the fattest range.
  *
  * The Binning engine is selectable per run (PbEngineConfig): the
  * instruction-faithful scalar PbBinner (also the simulator's model) or
@@ -21,17 +27,12 @@
  * produce identical per-bin tuple sequences, so kernels and the
  * differential oracle are engine-agnostic.
  *
- * Skew adaptation (PbEngineConfig::skewAdaptive): the static contiguous
- * Accumulate split is optimal for even bin occupancy but its finish
- * line is the fattest range under power-law streams. The adaptive
- * scheduler measures occupancy at the Init barrier (SkewSketch — free,
- * Init already counted every tuple), builds occupancy-balanced bin
- * chunks plus privatized sub-range splits of the hottest bins, and
- * drains them through a work-stealing queue (steal_queue.h).
- * Determinism contract: which worker runs an item is schedule-
- * dependent, but items are disjoint bins (any kernel) or fixed-count
- * sub-ranges merged in fixed order (commutative kernels only), so
- * results are bit-identical for every host thread count.
+ * Determinism contract: which worker applies a bin is schedule-
+ * dependent, but every bin is applied whole, by one worker, in shard
+ * order (shards are contiguous stream slices), so each index sees its
+ * updates in global stream order. Results — float sums included — are
+ * bit-identical at every host thread count and equal to the pull path
+ * (runPull).
  *
  * The phase barrier between Binning and Accumulate is the pool's wait();
  * the PhaseRecorder brackets give the same Init/Binning/Accumulate
@@ -42,6 +43,7 @@
 #ifndef COBRA_PB_PARALLEL_PB_H
 #define COBRA_PB_PARALLEL_PB_H
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <utility>
@@ -51,7 +53,6 @@
 #include "src/obs/trace.h"
 #include "src/pb/engine_config.h"
 #include "src/pb/pb_binner.h"
-#include "src/pb/skew_sketch.h"
 #include "src/pb/steal_queue.h"
 #include "src/pb/wc_engine.h"
 #include "src/resilience/cancel.h"
@@ -70,17 +71,6 @@ namespace cobra {
  * apply() runs concurrently on different threads but only ever for
  * disjoint bins (disjoint index ranges); index_of/update_of must be
  * safe to call concurrently for disjoint i (pure reads qualify).
- *
- * Commutative kernels may additionally pass privatized-reduction ops
- * (the run<Slot>(...) overload), enabling hot-bin splitting under
- * skewAdaptive:
- *   apply_priv(tuple, slot)  accumulate one tuple into a private Slot
- *                            (slot belongs to tuple.index; Slot must
- *                            value-initialize to the reduction identity)
- *   merge(index, slot)       fold one private Slot into the real data;
- *                            called exactly hotSubRanges times per index
- *                            of a split bin, in fixed sub-range order,
- *                            race-free (one thread per bin).
  */
 template <typename Payload>
 class ParallelPbRunner
@@ -97,8 +87,13 @@ class ParallelPbRunner
      */
     static constexpr size_t kCancelBlockTuples = 8192;
 
-    /** Hot bins below this population are never worth splitting. */
-    static constexpr uint64_t kMinHotTuples = 1024;
+    /**
+     * Accumulate work items per worker. More items level the finish
+     * line under skew; fewer keep each worker's slice a long run of
+     * consecutive bins. Independent of the schedule, so the item list
+     * is a pure function of the Init counts.
+     */
+    static constexpr uint64_t kItemsPerWorker = 8;
 
     ParallelPbRunner(ThreadPool &pool, const BinningPlan &plan,
                      const PbEngineConfig &engine = {})
@@ -118,12 +113,6 @@ class ParallelPbRunner
     /** Tuples that spilled past their planned bin in the last run(). */
     uint64_t overflowTuples() const { return overflow_; }
 
-    /** Cross-slice work-queue claims in the last adaptive Accumulate. */
-    uint64_t accumulateSteals() const { return steals_; }
-
-    /** Occupancy sketch of the last run (empty unless computed). */
-    const SkewSketch &skewSketch() const { return sketch_; }
-
     /**
      * Conservation verdict of the last run(): every emitted update must
      * be binned exactly once and no bin may have overflowed. A dropped,
@@ -136,24 +125,23 @@ class ParallelPbRunner
     run(size_t num_updates, PhaseRecorder &rec, IndexOf &&index_of,
         UpdateOf &&update_of, Apply &&apply)
     {
-        struct NoSlot
-        {
-        };
-        runDispatch<NoSlot>(
-            num_updates, rec, index_of, update_of, apply,
-            [](const Tuple &, NoSlot &) {}, [](uint32_t, const NoSlot &) {},
-            /*commutative=*/false);
-    }
-
-    template <typename Slot, typename IndexOf, typename UpdateOf,
-              typename Apply, typename ApplyPriv, typename Merge>
-    void
-    run(size_t num_updates, PhaseRecorder &rec, IndexOf &&index_of,
-        UpdateOf &&update_of, Apply &&apply, ApplyPriv &&apply_priv,
-        Merge &&merge)
-    {
-        runDispatch<Slot>(num_updates, rec, index_of, update_of, apply,
-                          apply_priv, merge, /*commutative=*/true);
+        // One umbrella span per run (main thread); the per-phase spans
+        // come from the PhaseRecorder brackets and the per-thread
+        // shard spans from inside the pool tasks below.
+        TraceSpan span("pb.run", "pb");
+        span.arg("engine", static_cast<uint64_t>(engine_.kind));
+        span.arg("bins", plan_.numBins);
+        span.arg("updates", num_updates);
+        switch (engine_.kind) {
+        case PbEngineKind::kScalar:
+            runImpl<PbBinner<Payload>>(num_updates, rec, index_of,
+                                       update_of, apply);
+            break;
+        case PbEngineKind::kWriteCombine:
+            runImpl<WcBinner<Payload>>(num_updates, rec, index_of,
+                                       update_of, apply);
+            break;
+        }
     }
 
     /**
@@ -216,8 +204,6 @@ class ParallelPbRunner
         shards_ = nshards;
         binned_ = 0;
         overflow_ = 0;
-        steals_ = 0;
-        sketch_ = SkewSketch{};
 
         std::atomic<uint64_t> applied{0};
         rec.begin(native, phase::kAccumulate);
@@ -275,34 +261,6 @@ class ParallelPbRunner
     }
 
   private:
-    template <typename Slot, typename IndexOf, typename UpdateOf,
-              typename Apply, typename ApplyPriv, typename Merge>
-    void
-    runDispatch(size_t num_updates, PhaseRecorder &rec,
-                IndexOf &&index_of, UpdateOf &&update_of, Apply &&apply,
-                ApplyPriv &&apply_priv, Merge &&merge, bool commutative)
-    {
-        // One umbrella span per run (main thread); the per-phase spans
-        // come from the PhaseRecorder brackets and the per-thread
-        // shard spans from inside the pool tasks below.
-        TraceSpan span("pb.run", "pb");
-        span.arg("engine", static_cast<uint64_t>(engine_.kind));
-        span.arg("bins", plan_.numBins);
-        span.arg("updates", num_updates);
-        switch (engine_.kind) {
-        case PbEngineKind::kScalar:
-            runImpl<PbBinner<Payload>, Slot>(num_updates, rec, index_of,
-                                             update_of, apply, apply_priv,
-                                             merge, commutative);
-            break;
-        case PbEngineKind::kWriteCombine:
-            runImpl<WcBinner<Payload>, Slot>(num_updates, rec, index_of,
-                                             update_of, apply, apply_priv,
-                                             merge, commutative);
-            break;
-        }
-    }
-
     template <typename Binner>
     std::unique_ptr<Binner>
     makeBinner() const
@@ -313,13 +271,11 @@ class ParallelPbRunner
             return std::make_unique<Binner>(plan_, engine_);
     }
 
-    template <typename Binner, typename Slot, typename IndexOf,
-              typename UpdateOf, typename Apply, typename ApplyPriv,
-              typename Merge>
+    template <typename Binner, typename IndexOf, typename UpdateOf,
+              typename Apply>
     void
     runImpl(size_t num_updates, PhaseRecorder &rec, IndexOf &&index_of,
-            UpdateOf &&update_of, Apply &&apply, ApplyPriv &&apply_priv,
-            Merge &&merge, bool commutative)
+            UpdateOf &&update_of, Apply &&apply)
     {
         ExecCtx native; // uninstrumented: full host speed
         const size_t nshards =
@@ -358,23 +314,15 @@ class ParallelPbRunner
         }
         pool_.wait();
 
-        // Skew sketch at the Init barrier: the counting pass already
-        // established every shard's per-bin totals, so measuring the
-        // occupancy distribution is a cold O(bins) reduction — nothing
-        // is added to any hot loop. Computed when the adaptive
-        // scheduler needs it or a registry wants the telemetry.
+        // Per-bin totals at the Init barrier: the counting pass already
+        // sized every shard's bins, so the Accumulate work list costs a
+        // cold O(bins x shards) reduction and nothing in any hot loop.
         const size_t nbins = plan_.numBins;
-        std::vector<uint64_t> bin_totals;
-        sketch_ = SkewSketch{};
-        if (engine_.skewAdaptive || MetricsRegistry::active()) {
-            bin_totals.assign(nbins, 0);
-            for (const auto &bn : binners) {
-                const uint32_t *c = bn->storage().initCounts();
-                for (size_t b = 0; b < nbins; ++b)
-                    bin_totals[b] += c[b];
-            }
-            sketch_ = SkewSketch::fromCounts(bin_totals, engine_.skewTopK);
-            sketch_.publish();
+        std::vector<uint64_t> bin_totals(nbins, 0);
+        for (const auto &bn : binners) {
+            const uint32_t *c = bn->storage().initCounts();
+            for (size_t b = 0; b < nbins; ++b)
+                bin_totals[b] += c[b];
         }
         rec.end(native);
 
@@ -414,7 +362,6 @@ class ParallelPbRunner
         shards_ = nshards;
         binned_ = 0;
         overflow_ = 0;
-        steals_ = 0;
         for (const auto &bn : binners) {
             binned_ += bn->tuplesBinned();
             overflow_ += bn->storage().overflowTuples();
@@ -439,227 +386,84 @@ class ParallelPbRunner
 
         // Accumulate: bins are applied by exactly one thread each.
         rec.begin(native, phase::kAccumulate);
-        if (!engine_.skewAdaptive) {
-            // Static contiguous bin ranges per thread; the owner of bin
-            // b streams all threads' copies of b (Algorithm 2, lines
-            // 6-11). The paper's layout, and the default.
-            const size_t bshards = std::max<size_t>(
-                1, std::min(pool_.numThreads(), nbins));
-            const size_t bchunk = (nbins + bshards - 1) / bshards;
-            for (size_t s = 0; s < bshards; ++s) {
-                pool_.enqueue([s, bchunk, nbins, &binners, &apply] {
-                    TraceSpan sp("accumulate", "pb");
-                    sp.arg("shard", s);
-                    cancellationPoint(); // + one per bin (forEachInBin)
-                    ExecCtx ctx;
-                    const size_t begin = s * bchunk;
-                    const size_t end = std::min(nbins, begin + bchunk);
-                    for (size_t b = begin; b < end; ++b)
-                        for (auto &bn : binners)
-                            bn->forEachInBin(ctx,
-                                             static_cast<uint32_t>(b),
-                                             apply);
-                    sp.arg("bins", end - begin);
-                });
-            }
-            pool_.wait();
-        } else {
-            adaptiveAccumulate<Binner, Slot>(binners, bin_totals, apply,
-                                             apply_priv, merge,
-                                             commutative);
-        }
+        accumulate(binners, bin_totals, apply);
         rec.end(native);
     }
 
     /**
-     * Skew-adaptive Accumulate: occupancy-balanced bin chunks plus
-     * privatized sub-range splits of hot bins, drained via StealQueue.
+     * Occupancy-balanced runs of whole bins, drained via StealQueue.
+     * Item boundaries depend only on the counted totals, never on the
+     * schedule, and each item applies its bins in ascending order with
+     * every bin's shard copies in shard order.
      */
-    template <typename Binner, typename Slot, typename Apply,
-              typename ApplyPriv, typename Merge>
+    template <typename Binner, typename Apply>
     void
-    adaptiveAccumulate(std::vector<std::unique_ptr<Binner>> &binners,
-                       const std::vector<uint64_t> &bin_totals,
-                       Apply &&apply, ApplyPriv &&apply_priv,
-                       Merge &&merge, bool commutative)
+    accumulate(std::vector<std::unique_ptr<Binner>> &binners,
+               const std::vector<uint64_t> &bin_totals, Apply &&apply)
     {
-        const size_t nbins = plan_.numBins;
-        const size_t workers = std::max<size_t>(1, pool_.numThreads());
-        const uint32_t nsub = std::max(2u, engine_.hotSubRanges);
-
-        // Hot-bin selection: the sketch's heavy hitters that clear the
-        // hotFactor threshold and are worth the privatization overhead.
-        // Splitting reorders the reduction, so it is offered only to
-        // kernels that declared commutative ops.
-        struct HotBin
+        struct Chunk
         {
-            uint32_t bin = 0;
-            uint64_t tuples = 0;
-            uint64_t base = 0;     ///< first index of the bin
-            uint64_t rangeLen = 0; ///< indices covered by the bin
-            std::unique_ptr<Slot[]> slots; ///< nsub * rangeLen, identity
-            std::atomic<uint32_t> remaining{0};
-        };
-        std::vector<std::unique_ptr<HotBin>> hot;
-        std::vector<int32_t> hotIndexOfBin; // -1 = cold
-        hotIndexOfBin.assign(nbins, -1);
-        if (commutative) {
-            for (const HeavyBin &h : sketch_.topK) {
-                if (!sketch_.isHot(h.tuples, engine_.hotFactor) ||
-                    h.tuples < kMinHotTuples)
-                    continue;
-                auto hb = std::make_unique<HotBin>();
-                hb->bin = h.bin;
-                hb->tuples = h.tuples;
-                hb->base = plan_.binStartIndex(h.bin);
-                hb->rangeLen =
-                    std::min(plan_.numIndices, hb->base + plan_.binRange()) -
-                    hb->base;
-                hb->slots = std::unique_ptr<Slot[]>(
-                    new Slot[size_t{nsub} * hb->rangeLen]());
-                hb->remaining.store(nsub, std::memory_order_relaxed);
-                hotIndexOfBin[h.bin] =
-                    static_cast<int32_t>(hot.size());
-                hot.push_back(std::move(hb));
-            }
-        }
-
-        // Work items: cold chunks of consecutive bins sized to a tuple
-        // target (so a chunk's cost, not its bin count, is even), and
-        // nsub sub-range items per hot bin. Item layout depends only on
-        // the counted totals — never on the schedule — so every
-        // host thread count builds the identical item list.
-        struct WorkItem
-        {
-            uint32_t beginBin = 0; ///< cold: [beginBin, endBin)
+            uint32_t beginBin = 0; ///< bins [beginBin, endBin)
             uint32_t endBin = 0;
-            int32_t hotIdx = -1; ///< >= 0: sub-range subIdx of hot bin
-            uint32_t subIdx = 0;
         };
-        const uint64_t total = sketch_.totalTuples;
-        const uint64_t target_tuples =
-            std::max<uint64_t>(1, total / (workers * 8));
-        std::vector<WorkItem> items;
+        const size_t nbins = bin_totals.size();
+        const size_t workers = std::max<size_t>(1, pool_.numThreads());
+        uint64_t total_tuples = 0;
+        for (uint64_t c : bin_totals)
+            total_tuples += c;
+        const uint64_t target_tuples = std::max<uint64_t>(
+            1, total_tuples / (workers * kItemsPerWorker));
+        std::vector<Chunk> items;
         uint32_t chunk_begin = 0;
         uint64_t chunk_tuples = 0;
-        auto flush_chunk = [&](uint32_t end_bin) {
-            if (chunk_begin < end_bin)
-                items.push_back(WorkItem{chunk_begin, end_bin, -1, 0});
-            chunk_begin = end_bin;
-            chunk_tuples = 0;
-        };
         for (uint32_t b = 0; b < nbins; ++b) {
-            if (hotIndexOfBin[b] >= 0) {
-                flush_chunk(b);
-                chunk_begin = b + 1;
-                for (uint32_t s = 0; s < nsub; ++s)
-                    items.push_back(
-                        WorkItem{b, b + 1, hotIndexOfBin[b], s});
-                continue;
-            }
             chunk_tuples += bin_totals[b];
-            if (chunk_tuples >= target_tuples)
-                flush_chunk(b + 1);
+            if (chunk_tuples >= target_tuples || b + 1 == nbins) {
+                items.push_back(Chunk{chunk_begin, b + 1});
+                chunk_begin = b + 1;
+                chunk_tuples = 0;
+            }
         }
-        flush_chunk(static_cast<uint32_t>(nbins));
 
-        StealQueue queue(items.size(), workers, pool_.nodeMap());
-
-        // One claim loop per logical worker. Steals are traced
-        // individually (cold by definition: a steal means the thief's
-        // own slice ran dry), so chrome://tracing shows exactly which
-        // items crossed slices.
-        auto exec_hot = [&](const WorkItem &it) {
-            HotBin &hb = *hot[static_cast<size_t>(it.hotIdx)];
-            cancellationPoint();
-            if (auto *fi = FaultInjector::active(); fi) [[unlikely]]
-                if (fi->fire(FaultSite::kPbStallAccumulate, hb.bin))
-                    fi->stall();
-            // Sub-range [lo, hi) of the concatenated shard streams for
-            // this bin, in shard order — the same global order the
-            // static path applies. Bounds derive from counted totals,
-            // so they are schedule-independent.
-            const uint64_t lo = it.subIdx * hb.tuples / nsub;
-            const uint64_t hi = (it.subIdx + 1) * hb.tuples / nsub;
-            Slot *slots =
-                hb.slots.get() + size_t{it.subIdx} * hb.rangeLen;
-            uint64_t pos = 0;
-            for (auto &bn : binners) {
-                auto span = bn->storage().bin(hb.bin);
-                const uint64_t n = span.size();
-                if (pos + n > lo && pos < hi) {
-                    const uint64_t from = lo > pos ? lo - pos : 0;
-                    const uint64_t to = std::min<uint64_t>(n, hi - pos);
-                    for (uint64_t i = from; i < to; ++i)
-                        apply_priv(span[i],
-                                   slots[span[i].index - hb.base]);
-                }
-                pos += n;
-                if (pos >= hi)
-                    break;
-            }
-            // Last finisher folds the privatized partials: fixed
-            // sub-range order per index, so the merged result is
-            // independent of which worker got here last.
-            if (hb.remaining.fetch_sub(1, std::memory_order_acq_rel) ==
-                1) {
-                cancellationPoint();
-                for (uint64_t i = 0; i < hb.rangeLen; ++i)
-                    for (uint32_t s = 0; s < nsub; ++s)
-                        merge(static_cast<uint32_t>(hb.base + i),
-                              hb.slots[size_t{s} * hb.rangeLen + i]);
-                // Overflow tuples (only present after an injected or
-                // corrupted run — conservation already flagged it)
-                // still reach the kernel so the oracle sees the full
-                // multiset.
-                for (auto &bn : binners)
-                    if (bn->storage().hasOverflow()) [[unlikely]]
-                        bn->storage().forEachOverflowInBin(hb.bin,
-                                                           apply);
-            }
-        };
-        auto exec_cold = [&](const WorkItem &it, ExecCtx &ctx) {
-            for (uint32_t b = it.beginBin; b < it.endBin; ++b)
-                for (auto &bn : binners)
-                    bn->forEachInBin(ctx, b, apply);
-        };
-        for (size_t w = 0; w < workers; ++w) {
+        const size_t claimers = std::max<size_t>(
+            1, std::min(workers, items.size()));
+        StealQueue queue(items.size(), claimers);
+        for (size_t w = 0; w < claimers; ++w) {
             pool_.enqueue([&, w] {
-                TraceSpan sp("accumulate.adaptive", "pb");
-                sp.arg("worker", w);
-                cancellationPoint();
+                TraceSpan sp("accumulate", "pb");
+                sp.arg("shard", w);
+                cancellationPoint(); // + one per bin (forEachInBin)
                 ExecCtx ctx;
+                auto apply_chunk = [&](const Chunk &c) {
+                    for (uint32_t b = c.beginBin; b < c.endBin; ++b)
+                        for (auto &bn : binners)
+                            bn->forEachInBin(ctx, b, apply);
+                };
                 size_t executed = 0;
                 bool stolen = false;
                 for (size_t idx; (idx = queue.claim(w, &stolen)) !=
-                     StealQueue::kNone;) {
-                    const WorkItem &it = items[idx];
-                    if (stolen) {
-                        TraceSpan st("accumulate.steal", "pb");
-                        st.arg("item", idx);
-                        st.arg("bin", it.beginBin);
-                        if (it.hotIdx >= 0)
-                            exec_hot(it);
-                        else
-                            exec_cold(it, ctx);
-                    } else if (it.hotIdx >= 0) {
-                        exec_hot(it);
-                    } else {
-                        exec_cold(it, ctx);
+                     StealQueue::kNone;
+                     ++executed) {
+                    if (!stolen) {
+                        apply_chunk(items[idx]);
+                        continue;
                     }
-                    ++executed;
+                    // Steals are traced one by one (cold by definition:
+                    // the thief's own slice ran dry), so a trace shows
+                    // exactly which items crossed slices.
+                    TraceSpan st("accumulate.steal", "pb");
+                    st.arg("item", idx);
+                    st.arg("bin", items[idx].beginBin);
+                    apply_chunk(items[idx]);
                 }
                 sp.arg("items", executed);
             });
         }
         pool_.wait();
 
-        steals_ = queue.steals();
         if (MetricsRegistry *reg = MetricsRegistry::active()) {
             reg->counter("pb.accumulate.items")->add(items.size());
-            reg->counter("pb.accumulate.steals")->add(steals_);
-            reg->gauge("pb.accumulate.hot_bins")
-                ->set(static_cast<int64_t>(hot.size()));
+            reg->counter("pb.accumulate.steals")->add(queue.steals());
         }
     }
 
@@ -669,8 +473,6 @@ class ParallelPbRunner
     size_t shards_ = 0;
     uint64_t binned_ = 0;
     uint64_t overflow_ = 0;
-    uint64_t steals_ = 0;
-    SkewSketch sketch_;
     Status conservation_;
 };
 

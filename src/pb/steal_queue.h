@@ -2,27 +2,28 @@
  * @file
  * Chunked work-queue with work-stealing for the Accumulate phase.
  *
- * The static Accumulate split hands each thread one contiguous bin
- * range; under skewed occupancy the phase then ends when the owner of
- * the fattest range finishes, with every other thread idle. This queue
- * replaces the ranges with an array of work items (bin chunks and
- * hot-bin sub-ranges, built by the scheduler in parallel_pb.h) that
- * workers claim one at a time:
+ * A static split that hands each thread one contiguous bin range ends
+ * the phase when the owner of the fattest range finishes, with every
+ * other thread idle. The scheduler in parallel_pb.h instead builds an
+ * array of work items (runs of consecutive bins holding about the same
+ * number of tuples) that workers claim one at a time:
  *
  *  - every worker owns a contiguous slice of the item array and drains
  *    it through a private atomic cursor (the common, contention-free
- *    path — same locality as the static split when occupancy is even);
- *  - a worker whose slice runs dry *steals*: it claims from another
- *    worker's cursor, preferring same-NUMA-node victims so cross-socket
- *    traffic starts only after a whole socket has run dry.
+ *    path — the same bin locality as a static split);
+ *  - a worker whose slice runs dry *steals*: it claims from the other
+ *    workers' cursors in ring order, starting at its right neighbour.
+ *
+ * Claiming from one's own slice first is what pays: a single shared
+ * cursor handing out the same items measured no faster than the static
+ * split (EXPERIMENTS.md, "Skew sweep").
  *
  * Correctness is by construction: every item index is handed out by
  * exactly one fetch_add on exactly one cursor, so each item is executed
  * exactly once no matter how claims interleave (the work-conservation
- * property test_skew_adaptive.cc proves under TSan). Which worker runs
- * an item is schedule-dependent; items are built so that this never
- * affects results (disjoint bins, or privatized sub-ranges merged in
- * fixed order — see parallel_pb.h).
+ * property test_skew_adaptive.cc checks under TSan). Which worker runs
+ * an item is schedule-dependent; items are whole bins, so this never
+ * affects results (see parallel_pb.h).
  *
  * Forward progress: claims are wait-free (one fetch_add per attempt,
  * no CAS retry loops), so a worker can lose the race for a given item
@@ -36,11 +37,10 @@
 #ifndef COBRA_PB_STEAL_QUEUE_H
 #define COBRA_PB_STEAL_QUEUE_H
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <thread>
-#include <vector>
 
 #include "src/check/fault_injector.h"
 
@@ -55,12 +55,8 @@ class StealQueue
     /**
      * @param num_items   items to distribute (indices [0, num_items))
      * @param num_workers claiming workers (ids [0, num_workers))
-     * @param worker_node optional NUMA node per worker (from
-     *        ThreadPool::workerNode); shapes steal preference only,
-     *        never correctness. Empty = all workers equivalent.
      */
-    StealQueue(size_t num_items, size_t num_workers,
-               std::vector<int> worker_node = {})
+    StealQueue(size_t num_items, size_t num_workers)
         : nitems_(num_items),
           nworkers_(num_workers ? num_workers : 1),
           ranges_(std::make_unique<Range[]>(nworkers_))
@@ -75,21 +71,6 @@ class StealQueue
             const size_t begin = std::min(nitems_, w * chunk);
             ranges_[w].next.store(begin, std::memory_order_relaxed);
             ranges_[w].end = std::min(nitems_, begin + chunk);
-        }
-        // Deterministic per-worker victim order: same-node victims
-        // first (ring order from the thief), then the rest.
-        victims_.resize(nworkers_);
-        for (size_t w = 0; w < nworkers_; ++w) {
-            auto node_of = [&](size_t v) {
-                return v < worker_node.size() ? worker_node[v] : 0;
-            };
-            for (int pass = 0; pass < 2; ++pass)
-                for (size_t d = 1; d < nworkers_; ++d) {
-                    const size_t v = (w + d) % nworkers_;
-                    const bool same = node_of(v) == node_of(w);
-                    if (same == (pass == 0))
-                        victims_[w].push_back(v);
-                }
         }
     }
 
@@ -106,7 +87,8 @@ class StealQueue
             *stolen = false;
         if (size_t item = take(ranges_[w]); item != kNone)
             return item;
-        for (size_t v : victims_[w]) {
+        for (size_t d = 1; d < nworkers_; ++d) {
+            const size_t v = (w + d) % nworkers_; // ring order
             // Injection point: the thief repeatedly loses the race for
             // this victim's items (bounded yielding), proving the claim
             // loop's forward-progress guarantee rather than assuming it.
@@ -156,7 +138,6 @@ class StealQueue
     size_t nitems_;
     size_t nworkers_;
     std::unique_ptr<Range[]> ranges_;
-    std::vector<std::vector<size_t>> victims_;
     std::atomic<uint64_t> steals_{0};
 };
 

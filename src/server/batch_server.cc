@@ -316,7 +316,6 @@ BatchServer::executeMutate(Job &job)
     PbEngineConfig ecfg;
     ecfg.kind = req.engine;
     ecfg.wcLines = req.wcLines;
-    ecfg.skewAdaptive = req.skewAdaptive;
 
     PhaseRecorder rec;
     Timer t;
@@ -600,7 +599,6 @@ BatchServer::execute(Job &job)
     PbEngineConfig ecfg;
     ecfg.kind = req.engine;
     ecfg.wcLines = req.wcLines;
-    ecfg.skewAdaptive = req.skewAdaptive;
 
     // The request's own slice of the shared pool: shards, failures,
     // and cancellation all scoped to this group, so concurrent
@@ -854,7 +852,6 @@ BatchServer::recover()
         PbEngineConfig ecfg;
         ecfg.kind = rreq.engine;
         ecfg.wcLines = rreq.wcLines;
-        ecfg.skewAdaptive = rreq.skewAdaptive;
         BatchResult r = state->graph->applyBatchParallel(
             pool_, rec, batch, rreq.bins, ecfg);
         if (!state->graph->health().ok())

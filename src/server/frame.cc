@@ -230,7 +230,7 @@ encodeRequest(const RequestFrame &req)
     w.u64(req.requestId);
     w.u8(static_cast<uint8_t>(req.kernel));
     w.u8(static_cast<uint8_t>(req.engine));
-    w.u8(req.skewAdaptive ? 1 : 0);
+    w.u8(0); // flags: no bit is assigned
     w.u8(static_cast<uint8_t>(req.op));
     w.u32(req.bins);
     w.u32(req.wcLines);
@@ -270,10 +270,10 @@ decodeRequest(const uint8_t *data, size_t len, RequestFrame *out)
     req.requestId = r.u64();
     req.kernel = static_cast<ServerKernel>(r.u8());
     req.engine = static_cast<PbEngineKind>(r.u8());
-    const uint8_t flags = r.u8();
-    if ((flags & ~uint8_t{1}) != 0)
+    // No flag bit is assigned. Bit 0 once selected a second push
+    // Accumulate scheduler; frames that still set it are rejected.
+    if (r.u8() != 0)
         return malformed("unknown flag bits");
-    req.skewAdaptive = (flags & 1) != 0;
     const uint8_t op = r.u8();
     if (op > static_cast<uint8_t>(RequestOp::kSnapshot))
         return malformed("unknown request op " + std::to_string(op));

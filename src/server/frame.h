@@ -136,7 +136,6 @@ struct RequestFrame
     ServerKernel kernel = ServerKernel::kDegreeCount;
     PbEngineKind engine = PbEngineKind::kScalar;
     RequestOp op = RequestOp::kRun;
-    bool skewAdaptive = false;
     uint32_t bins = 1024;
     uint32_t wcLines = 1;
     uint32_t deadlineMs = 0; ///< whole-request budget; 0 = none

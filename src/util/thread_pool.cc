@@ -3,16 +3,10 @@
 #include <algorithm>
 #include <string>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "src/check/fault_injector.h"
 #include "src/resilience/cancel.h"
 #include "src/resilience/memory_budget.h"
 #include "src/util/error.h"
-#include "src/util/numa_topology.h"
 
 namespace cobra {
 
@@ -105,53 +99,13 @@ ThreadPool::Group::~Group()
     pool_.drainGroup(*this);
 }
 
-namespace {
-
-/** Pin the calling thread to @p cpus. Best-effort: failure is a no-op
- * (a cgroup may forbid some CPUs; an unpinned worker is merely the
- * pre-NUMA behavior, never an error). */
-void
-pinToCpus([[maybe_unused]] const std::vector<int> &cpus)
-{
-#if defined(__linux__)
-    if (cpus.empty())
-        return;
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    for (int c : cpus)
-        if (c >= 0 && c < CPU_SETSIZE)
-            CPU_SET(c, &set);
-    pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#endif
-}
-
-} // namespace
-
-ThreadPool::ThreadPool(size_t num_threads, bool numa_pin)
+ThreadPool::ThreadPool(size_t num_threads)
 {
     size_t n = num_threads != 0 ? num_threads
                                 : std::max(1u, std::thread::hardware_concurrency());
-    // Per-socket shard affinity: workers are dealt round-robin across
-    // the host's NUMA nodes, so each node gets an even share and the
-    // first-touch pages of a worker's bin storage land on its socket.
-    // Single-node hosts (and hosts hiding their topology) keep the
-    // historical layout: everyone on node 0, no pinning.
-    const NumaTopology &topo = hostNumaTopology();
-    const bool pin = numa_pin && topo.detected && topo.numNodes() > 1;
-    workerNodes.resize(n, 0);
-    if (pin)
-        for (size_t i = 0; i < n; ++i)
-            workerNodes[i] = static_cast<int>(i % topo.numNodes());
     workers.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-        const std::vector<int> cpus =
-            pin ? topo.nodeCpus[static_cast<size_t>(workerNodes[i])]
-                : std::vector<int>{};
-        workers.emplace_back([this, i, cpus] {
-            pinToCpus(cpus);
-            workerLoop(i);
-        });
-    }
+    for (size_t i = 0; i < n; ++i)
+        workers.emplace_back([this, i] { workerLoop(i); });
 }
 
 ThreadPool::~ThreadPool()

@@ -95,14 +95,9 @@ class ThreadPool
   public:
     /**
      * @param num_threads 0 means hardware_concurrency (at least 1).
-     * @param numa_pin distribute workers round-robin across the host's
-     *        NUMA nodes and pin each to its node's CPU set, so a
-     *        worker's first-touched pages (per-thread bin storage) stay
-     *        on the socket that later streams them. A no-op on
-     *        single-node hosts or when sysfs hides the topology — the
-     *        pool degrades to the unpinned layout.
+     * Workers are not pinned to CPUs.
      */
-    explicit ThreadPool(size_t num_threads = 0, bool numa_pin = false);
+    explicit ThreadPool(size_t num_threads = 0);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -152,20 +147,6 @@ class ThreadPool
     };
 
     size_t numThreads() const { return workers.size(); }
-
-    /**
-     * NUMA node worker @p w was assigned to (0 when unpinned — every
-     * consumer then sees one node, which disables cross-node steal
-     * ordering without a special case).
-     */
-    int
-    workerNode(size_t w) const
-    {
-        return w < workerNodes.size() ? workerNodes[w] : 0;
-    }
-
-    /** Per-worker node assignment (for StealQueue victim ordering). */
-    const std::vector<int> &nodeMap() const { return workerNodes; }
 
     /**
      * Index of the pool worker executing the caller, or -1 off-pool
@@ -222,7 +203,6 @@ class ThreadPool
     void drainGroup(Group &g);
 
     std::vector<std::thread> workers;
-    std::vector<int> workerNodes; ///< NUMA node per worker (empty = node 0)
     std::queue<Pending> tasks;
     std::mutex mtx;
     std::condition_variable cvTask;

@@ -10,9 +10,10 @@
  * owns a /16384/ smoke point declares which field groups its rows must
  * carry — per-phase sum/median/min timings, hardware counters (or the
  * explicit hw_unavailable marker), the direction_chosen pivot field,
- * or the mutation-sweep counters. A row no table entry claims is a
- * hard failure: new benchmark families must register their schema
- * here, not slide past the smoke test.
+ * or the mutation-sweep counters. The skew sweep has one scheduler
+ * arm, so its rows carry the alpha_x100 pivot and no arm name. A row
+ * no table entry claims is a hard failure: new benchmark families must
+ * register their schema here, not slide past the smoke test.
  *
  * The binary path arrives via the COBRA_BENCH_BIN environment variable
  * (set by the CTest registration); the test skips when unset so the
@@ -54,6 +55,7 @@ struct SchemaRow
 const SchemaRow kSchema[] = {
     {"BM_DegreeCountPb/", true, true, false, false},
     {"BM_DegreeCountPbParallel/", true, true, false, false},
+    {"BM_DegreeCountPbParallelSkewSweep/", true, true, false, false},
     {"BM_DegreeCountDirectionSweep/", true, true, true, false},
     {"BM_PagerankPbParallel/", true, true, true, false},
     {"BM_SpmvPbParallel/", true, true, true, false},
@@ -152,8 +154,8 @@ TEST(BenchSmoke, TinyRunEmitsValidPhaseAndHwSchema)
     std::string out = ::testing::TempDir() + "cobra_bench_smoke.json";
     // The 2^14-node points exist precisely for this test: small enough
     // for a sub-second run, exercising the sequential PB path, the
-    // threaded wc-engine path, the direction sweep, and both sides of
-    // the mutation incremental/full A/B.
+    // threaded wc-engine path, the skew sweep, the direction sweep, and
+    // both sides of the mutation incremental/full A/B.
     std::string cmd = std::string("\"") + bin + "\"" +
         " --benchmark_filter=/16384/" +
         " --benchmark_min_time=0.01" +
@@ -181,6 +183,7 @@ TEST(BenchSmoke, TinyRunEmitsValidPhaseAndHwSchema)
     // one smoke row, and special anchors must have appeared.
     std::vector<bool> sawFamily(std::size(kSchema), false);
     bool sawAutoPull = false;
+    bool sawSkewSweep = false;
     bool sawMutationIncremental = false, sawMutationFull = false;
 
     for (const JsonValue &b : benches.items()) {
@@ -218,6 +221,17 @@ TEST(BenchSmoke, TinyRunEmitsValidPhaseAndHwSchema)
             name.find("/auto_dir/") != std::string::npos &&
             b["direction_chosen"].asDouble() == 1.0)
             sawAutoPull = true;
+        // One scheduler, one arm: the row is keyed by its args alone
+        // (no static_sched/adaptive_sched capture) and pivots on
+        // alpha_x100, mirrored in the label.
+        if (name.find("BM_DegreeCountPbParallelSkewSweep/16384/64/2/100/") ==
+            0) {
+            sawSkewSweep = true;
+            ASSERT_TRUE(b.has("alpha_x100")) << name;
+            EXPECT_EQ(b["alpha_x100"].asDouble(), 100.0) << name;
+            ASSERT_TRUE(b.has("label")) << name;
+            EXPECT_EQ(b["label"].asString(), "alpha=100") << name;
+        }
         if (name.find("BM_MutationSweep/incremental/") == 0)
             sawMutationIncremental = true;
         if (name.find("BM_MutationSweep/full/") == 0)
@@ -228,6 +242,7 @@ TEST(BenchSmoke, TinyRunEmitsValidPhaseAndHwSchema)
         EXPECT_TRUE(sawFamily[i])
             << "no /16384/ smoke row from family " << kSchema[i].prefix;
     EXPECT_TRUE(sawAutoPull);
+    EXPECT_TRUE(sawSkewSweep);
     EXPECT_TRUE(sawMutationIncremental);
     EXPECT_TRUE(sawMutationFull);
 }

@@ -1035,6 +1035,45 @@ TEST(ServerRecovery, RemovedEngineIdInWalRefusesStartup)
     }
 }
 
+// A WAL written while flag bit 0 still selected the removed skew
+// scheduler must refuse startup: replaying it as a plain request would
+// silently change what the logged request asked for.
+TEST(ServerRecovery, RemovedSkewFlagInWalRefusesStartup)
+{
+    ThreadPool pool(4);
+    const EdgeList edges = generateUniform(kN, 1 << 12, 27);
+    constexpr size_t kFlagsByte = 26; // request-frame offset
+    const fs::path dir = freshDir("srv_skew_flag");
+    {
+        BatchServer server(durableConfig(dir), pool);
+        for (size_t b = 0; b < 2; ++b)
+            ASSERT_EQ(server.call(mutateRequest(edges, 1, b)).code,
+                      ErrorCode::kOk);
+        server.stop();
+    }
+    WalReadResult rr;
+    ASSERT_TRUE(readWal(dir.string(), &rr).ok());
+    ASSERT_EQ(rr.records.size(), 2u);
+    WalRecord patched = rr.records[1];
+    ASSERT_EQ(patched.payload[kFlagsByte], 0);
+    patched.payload[kFlagsByte] = 1;
+    const std::vector<uint8_t> b0 = encodeWalRecord(rr.records[0]);
+    const std::vector<uint8_t> b1 = encodeWalRecord(patched);
+    std::string bytes(b0.begin(), b0.end());
+    bytes.append(b1.begin(), b1.end());
+    spit(dir / walSegmentName(1), bytes);
+
+    try {
+        BatchServer revived(durableConfig(dir), pool);
+        FAIL() << "a removed flag bit must refuse startup";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::kCorruptFile) << e.what();
+        EXPECT_NE(std::string(e.what()).find("unknown flag bits"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ServerRecovery, OlderCheckpointPlusWalSurvivesCorruptNewest)
 {
     ThreadPool pool(4);

@@ -280,6 +280,23 @@ TEST(FuzzCorpus, FrameRemovedEngineSeedsAreInvalidArgument)
     }
 }
 
+// Flag bit 0 once selected a second push Accumulate scheduler. A seed
+// that still sets it is refused as a malformed frame, through the
+// unknown-flags path.
+TEST(FuzzCorpus, FrameRemovedSkewFlagSeedIsMalformed)
+{
+    const std::string raw =
+        slurp(corpusDir() / "frame" / "removed_skew_flag.bin");
+    ASSERT_GT(raw.size(), 1u);
+    RequestFrame req;
+    const Status s = decodeRequest(
+        reinterpret_cast<const uint8_t *>(raw.data()) + 1, raw.size() - 1,
+        &req);
+    EXPECT_EQ(s.code(), ErrorCode::kCorruptFile) << s.toString();
+    EXPECT_NE(s.message().find("unknown flag bits"), std::string::npos)
+        << s.message();
+}
+
 // The mutation ops (kMutate, kSnapshot) widened the request frame: the
 // formerly-reserved op byte selects the operation and bit 31 of a
 // mutate src word marks a delete. Valid shapes — including a

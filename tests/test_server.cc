@@ -86,7 +86,6 @@ TEST(Frame, RequestRoundTripPreservesEveryField)
     RequestFrame req = makeRequest(7, 42, 64, 128,
                                    ServerKernel::kNeighborPopulate);
     req.engine = PbEngineKind::kWriteCombine;
-    req.skewAdaptive = true;
     req.wcLines = 4;
     req.deadlineMs = 1500;
     req.injectSite = static_cast<uint32_t>(FaultSite::kPbStallBinning);
@@ -101,7 +100,6 @@ TEST(Frame, RequestRoundTripPreservesEveryField)
     EXPECT_EQ(got.requestId, req.requestId);
     EXPECT_EQ(got.kernel, req.kernel);
     EXPECT_EQ(got.engine, req.engine);
-    EXPECT_EQ(got.skewAdaptive, req.skewAdaptive);
     EXPECT_EQ(got.bins, req.bins);
     EXPECT_EQ(got.wcLines, req.wcLines);
     EXPECT_EQ(got.deadlineMs, req.deadlineMs);
@@ -222,6 +220,22 @@ TEST(Frame, RemovedEngineIdsAreRejectedNotRemapped)
         s = decodeResponse(rbuf.data(), rbuf.size(), &rout);
         EXPECT_EQ(s.code(), ErrorCode::kCorruptFile) << s.toString();
     }
+}
+
+// Flag bit 0 once selected a second push Accumulate scheduler. The
+// flags byte must now be 0: a frame that still sets the bit is refused
+// typed, never decoded as a plain request.
+TEST(Frame, RemovedSkewFlagIsRejected)
+{
+    constexpr size_t kRequestFlagsByte = 26;
+    std::vector<uint8_t> buf = encodeRequest(makeRequest(1, 1, 8, 16));
+    ASSERT_EQ(buf[kRequestFlagsByte], 0);
+    buf[kRequestFlagsByte] = 1;
+    RequestFrame out;
+    Status s = decodeRequest(buf.data(), buf.size(), &out);
+    EXPECT_EQ(s.code(), ErrorCode::kCorruptFile) << s.toString();
+    EXPECT_NE(s.message().find("unknown flag bits"), std::string::npos)
+        << s.toString();
 }
 
 TEST(Frame, DecodeRejectsOutOfRangePayloadIndex)
